@@ -202,6 +202,8 @@ def _make_config(args, default_n: int) -> QuadratureConfig:
 
 
 def _cmd_compute(args) -> int:
+    if args.precision < 0:
+        raise _CliError("--precision must be non-negative")
     source = _make_source(args)
     if args.measure == "var":
         if args.alpha is None:
@@ -217,8 +219,6 @@ def _cmd_compute(args) -> int:
     else:
         spec = _make_spec(args)
         value = measures.srm(source, spec, _make_config(args, _COMPUTE_DEFAULT_N))
-    if args.precision < 0:
-        raise _CliError("--precision must be non-negative")
     print(f"{value:.{args.precision}f}")
     return 0
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.special import erfc
+from scipy.special import ndtri
 
 from .errors import DataError
 
@@ -28,130 +28,62 @@ __all__ = [
     "inverse_normal_cdf",
 ]
 
-_KINDS = ("standard_normal", "normal", "empirical", "constant", "uniform")
-
-_SQRT2 = math.sqrt(2.0)
-_SQRT_2PI = math.sqrt(2.0 * math.pi)
-
-# Rational approximations for the inverse normal CDF on the lower half,
-# refined below with one Halley step against the erfc-based CDF.
-_CENTRAL_NUM = (
-    -3.969683028665376e01,
-    2.209460984245205e02,
-    -2.759285104469687e02,
-    1.383577518672690e02,
-    -3.066479806614716e01,
-    2.506628277459239e00,
-)
-_CENTRAL_DEN = (
-    -5.447609879822406e01,
-    1.615858368580409e02,
-    -1.556989798598866e02,
-    6.680131188771972e01,
-    -1.328068155288572e01,
-    1.0,
-)
-_TAIL_NUM = (
-    -7.784894002430293e-03,
-    -3.223964580411365e-01,
-    -2.400758277161838e00,
-    -2.549732539343734e00,
-    4.374664141464968e00,
-    2.938163982698783e00,
-)
-_TAIL_DEN = (
-    7.784695709041462e-03,
-    3.224671290700398e-01,
-    2.445134137142996e00,
-    3.754408661907416e00,
-    1.0,
-)
-_TAIL_SPLIT = 0.02425
-
-
-def _polyval(coeffs, x):
-    out = np.full_like(x, coeffs[0])
-    for c in coeffs[1:]:
-        out = out * x + c
-    return out
-
-
-def _ndtri_lower_half(w: np.ndarray) -> np.ndarray:
-    """Inverse normal CDF for probabilities w in (0, 0.5]."""
-    x = np.empty_like(w)
-    tail = w < _TAIL_SPLIT
-    if np.any(tail):
-        r = np.sqrt(-2.0 * np.log(w[tail]))
-        x[tail] = _polyval(_TAIL_NUM, r) / _polyval(_TAIL_DEN, r)
-    central = ~tail
-    if np.any(central):
-        q = w[central] - 0.5
-        r = q * q
-        x[central] = q * _polyval(_CENTRAL_NUM, r) / _polyval(_CENTRAL_DEN, r)
-    # One Halley step against Phi(x) = erfc(-x / sqrt(2)) / 2.  Skipped in the
-    # far tail where exp(x^2 / 2) would overflow; the raw approximation is
-    # already well inside tolerance there.
-    safe = np.abs(x) < 37.0
-    if np.any(safe):
-        xs = x[safe]
-        err = 0.5 * erfc(-xs / _SQRT2) - w[safe]
-        step = err * _SQRT_2PI * np.exp(0.5 * xs * xs)
-        x[safe] = xs - step / (1.0 + 0.5 * xs * step)
-    return x
+_KINDS = ("normal", "empirical")
 
 
 def inverse_normal_cdf(p):
     """Standard normal quantile for p in (0, 1), scalar or array.
 
-    Accurate to well below 1e-9 absolute over [1e-12, 1 - 1e-12] and exactly
-    antisymmetric: the upper half is computed by reflecting the lower half,
-    and 1 - p is exact for p >= 0.5.
+    Computed by scipy's ndtri on the lower half and exactly antisymmetric:
+    the upper half reflects the lower half, and 1 - p is exact for p >= 0.5.
     """
     arr = np.asarray(p, dtype=float)
     if arr.size and not np.all((arr > 0.0) & (arr < 1.0)):
         raise ValueError("probability must lie strictly inside (0, 1)")
-    flat = arr.ravel()
-    upper = flat > 0.5
-    w = np.where(upper, 1.0 - flat, flat)
-    z = _ndtri_lower_half(w)
-    z = np.where(upper, -z, z)
-    if arr.ndim == 0:
-        return float(z[0])
-    return z.reshape(arr.shape)
+    z = np.copysign(ndtri(np.minimum(arr, 1.0 - arr)), arr - 0.5)
+    return float(z) if arr.ndim == 0 else z
 
 
 @dataclass(frozen=True, eq=False)
 class QuantileSource:
     """A loss distribution described by its quantile function.
 
-    Use the module factories rather than constructing directly; they keep
-    the per-kind parameter rules in one place.
+    Two kinds exist.  A normal source maps p to mean + sd * z(p) through
+    `inverse_normal_cdf`.  An empirical source holds sorted, read-only
+    samples and interpolates linearly between order statistics (type 7 of
+    Hyndman & Fan 1996); `uniform(lo, hi)` is the empirical source of
+    [lo, hi] and `constant(v)` that of [v].  Use the module factories
+    rather than constructing directly; they keep the per-kind parameter
+    rules in one place.
     """
 
     kind: str
     mean: float = 0.0
     sd: float = 1.0
     samples: np.ndarray | None = None
-    value: float = 0.0
-    lo: float = 0.0
-    hi: float = 1.0
 
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown source kind {self.kind!r}")
-        if self.kind == "normal" and not self.sd > 0.0:
-            raise ValueError("sd must be positive")
-        if self.kind == "uniform" and not self.lo < self.hi:
-            raise ValueError("uniform support needs lo < hi")
-        if self.kind == "empirical":
+        if self.kind == "normal":
+            if not (math.isfinite(self.mean) and math.isfinite(self.sd)):
+                raise ValueError("normal mean and sd must be finite")
+            if not self.sd > 0.0:
+                raise ValueError("sd must be positive")
+        else:
             if self.samples is None or self.samples.size == 0:
                 raise ValueError("empirical source needs at least one sample")
             if not np.all(np.isfinite(self.samples)):
                 raise ValueError("empirical samples must be finite")
 
 
+def _empirical(samples: np.ndarray) -> QuantileSource:
+    samples.flags.writeable = False
+    return QuantileSource(kind="empirical", samples=samples)
+
+
 def standard_normal() -> QuantileSource:
-    return QuantileSource(kind="standard_normal")
+    return normal(0.0, 1.0)
 
 
 def normal(mean: float, sd: float) -> QuantileSource:
@@ -161,11 +93,15 @@ def normal(mean: float, sd: float) -> QuantileSource:
 def constant(value: float) -> QuantileSource:
     if not math.isfinite(value):
         raise ValueError("constant loss must be finite")
-    return QuantileSource(kind="constant", value=float(value))
+    return _empirical(np.array([float(value)]))
 
 
 def uniform(lo: float, hi: float) -> QuantileSource:
-    return QuantileSource(kind="uniform", lo=float(lo), hi=float(hi))
+    if not lo < hi:
+        raise ValueError("uniform support needs lo < hi")
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError("uniform bounds must be finite")
+    return _empirical(np.array([float(lo), float(hi)]))
 
 
 def load_empirical(records) -> QuantileSource:
@@ -183,9 +119,7 @@ def load_empirical(records) -> QuantileSource:
     if np.any(bad):
         row = int(np.argmax(bad)) + 1
         raise DataError(f"non-finite loss at row {row}")
-    samples = np.sort(arr)
-    samples.flags.writeable = False
-    return QuantileSource(kind="empirical", samples=samples)
+    return _empirical(np.sort(arr))
 
 
 def read_loss_csv(path) -> QuantileSource:
@@ -213,23 +147,36 @@ def read_loss_csv(path) -> QuantileSource:
     return load_empirical(losses)
 
 
+def _interpolate(samples: np.ndarray, p):
+    """Order-statistic interpolation at p in [0, 1]; a single sample is flat."""
+    return np.interp(p, np.linspace(0.0, 1.0, samples.size), samples)
+
+
 def quantile(source: QuantileSource, p):
     """Quantile of `source` at probability p (scalar or array), p in (0, 1)."""
     arr = np.asarray(p, dtype=float)
     if arr.size and not np.all((arr > 0.0) & (arr < 1.0)):
         raise ValueError("probability must lie strictly inside (0, 1)")
-    kind = source.kind
-    if kind == "standard_normal":
-        out = inverse_normal_cdf(arr)
-    elif kind == "normal":
-        out = source.mean + source.sd * np.asarray(inverse_normal_cdf(arr))
-    elif kind == "empirical":
-        grid = np.linspace(0.0, 1.0, source.samples.size)
-        out = np.interp(arr, grid, source.samples)
-    elif kind == "constant":
-        out = np.full(arr.shape, source.value)
+    if source.kind == "normal":
+        out = source.mean + source.sd * inverse_normal_cdf(arr)
     else:
-        out = source.lo + arr * (source.hi - source.lo)
-    if arr.ndim == 0:
-        return float(out)
-    return np.asarray(out)
+        out = _interpolate(source.samples, arr)
+    return float(out) if arr.ndim == 0 else out
+
+
+def _limit_quantile(source: QuantileSource, p: float) -> float:
+    """Limit of the quantile as p approaches 0 or 1; may be infinite."""
+    if source.kind == "normal":
+        # ndtri maps the closed endpoints to -inf and inf
+        return source.mean + source.sd * float(ndtri(p))
+    return float(_interpolate(source.samples, p))
+
+
+def _upper_quantile(source: QuantileSource, t: float) -> float:
+    """Quantile at p = 1 - t, evaluated through the upper-tail probability t
+    so that tails too small to resolve inside 1 - p stay accurate."""
+    if source.kind == "normal":
+        # t = u**(1/c) underflows to 0 for small c; the clamp keeps it in
+        # the open interval the inverse normal accepts
+        return source.mean - source.sd * inverse_normal_cdf(max(t, 1e-300))
+    return float(_interpolate(source.samples, 1.0 - t))

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import QuantileSource, inverse_normal_cdf, quantile
+from .distributions import QuantileSource, _limit_quantile, _upper_quantile, quantile
 from .errors import ConvergenceError, NumericalError
 from .risk_aversion import WeightSpec, weight, weight_mass
 
@@ -132,21 +132,6 @@ def simpson_composite(f, lo: float, hi: float, n_points: int) -> float:
     return _chunked_simpson(eval_chunk, lo, hi, n_points)
 
 
-def _limit_quantile(source: QuantileSource, p: float) -> float:
-    """Limit of the quantile as p approaches 0 or 1; may be infinite."""
-    at_one = p == 1.0
-    kind = source.kind
-    if kind == "standard_normal":
-        return math.inf if at_one else -math.inf
-    if kind == "normal":
-        return source.mean + source.sd * (math.inf if at_one else -math.inf)
-    if kind == "empirical":
-        return float(source.samples[-1] if at_one else source.samples[0])
-    if kind == "constant":
-        return source.value
-    return source.hi if at_one else source.lo
-
-
 def _limit_weight(spec: WeightSpec, p: float) -> float:
     if spec.family == "power" and p == 1.0:
         return math.inf
@@ -196,24 +181,6 @@ def srm_replication(
         endpoint_policy=config.endpoint_policy,
         estimated_error=None,
     )
-
-
-def _upper_quantile(source: QuantileSource, t: float) -> float:
-    """Quantile at p = 1 - t, evaluated through the upper-tail probability t
-    so that tails too small to resolve inside 1 - p stay accurate."""
-    kind = source.kind
-    if kind == "standard_normal":
-        return -inverse_normal_cdf(max(t, 1e-300))
-    if kind == "normal":
-        return source.mean - source.sd * inverse_normal_cdf(max(t, 1e-300))
-    p = 1.0 - t
-    if p >= 1.0:
-        if kind == "empirical":
-            return float(source.samples[-1])
-        if kind == "constant":
-            return source.value
-        return source.hi
-    return quantile(source, p)
 
 
 def _fixed_simpson(f, lo: float, hi: float, n: int = 129) -> float:

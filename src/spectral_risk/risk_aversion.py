@@ -38,7 +38,7 @@ class WeightSpec:
     """A parametric weight family plus its parameter values.
 
     Families:
-      exponential  phi(p) = lambda * exp(-a * (1 - p)),  a > 0
+      exponential  phi(p) = lambda * exp(-a * (1 - p)),  0 < a < inf
       power        phi(p) = c * (1 - p) ** (c - 1),      0 < c < 1
       es           phi(p) = 1 / (1 - alpha) for p >= alpha, else 0
       flat         phi(p) = 1
@@ -60,8 +60,8 @@ class WeightSpec:
                     raise ValueError(f"{self.family} family needs parameter {name}")
             elif val is not None:
                 raise ValueError(f"{self.family} family does not take parameter {name}")
-        if self.family == "exponential" and not self.a > 0.0:
-            raise ValueError("a must be positive")
+        if self.family == "exponential" and not 0.0 < self.a < math.inf:
+            raise ValueError("a must be positive and finite")
         if self.family == "power" and not 0.0 < self.c < 1.0:
             raise ValueError("c must lie in (0, 1)")
         if self.family == "es" and not 0.0 < self.alpha < 1.0:

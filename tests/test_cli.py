@@ -2,9 +2,11 @@
 
 import json
 import math
+import warnings
 
 import pytest
 
+from spectral_risk import measures
 from spectral_risk.cli import main
 
 
@@ -125,6 +127,38 @@ def test_usage_errors_exit_with_code_1(capsys):
         code, _, err = run(argv, capsys)
         assert code == 1, argv
         assert err != "", argv
+
+
+def test_non_finite_parameters_are_usage_errors(capsys):
+    base = ["compute", "--measure", "srm", "--n", "1001"]
+    cases = [
+        ["--family", "flat", "--dist", "normal", "--mean", "nan"],
+        ["--family", "flat", "--dist", "normal", "--sd", "inf"],
+        ["--family", "flat", "--dist", "normal", "--mean", "inf"],
+        ["--family", "flat", "--dist", "uniform", "--lo=-inf", "--hi", "inf"],
+        ["--family", "exponential", "--a", "inf"],
+    ]
+    for extra in cases:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, _, err = run(base + extra, capsys)
+        assert code == 1, extra
+        assert "finite" in err, extra
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], extra
+        assert "RuntimeWarning" not in err, extra
+
+
+def test_precision_is_checked_before_computing(monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise AssertionError("measure computed before --precision was checked")
+
+    monkeypatch.setattr(measures, "srm", fail)
+    argv = ["compute", "--measure", "srm", "--family", "exponential", "--a", "5",
+            "--precision", "-1"]
+    code, out, err = run(argv, capsys)
+    assert code == 1
+    assert out == ""
+    assert err == "error: --precision must be non-negative\n"
 
 
 def test_unknown_family_choice_exits_1(capsys):

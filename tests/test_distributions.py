@@ -20,14 +20,14 @@ from spectral_risk import (
 )
 
 PROBES = [
-    1e-12, 1e-9, 1e-6, 1e-4, 0.01, 0.1, 0.3, 0.5,
+    1e-300, 1e-100, 1e-20, 1e-12, 1e-9, 1e-6, 1e-4, 0.01, 0.1, 0.3, 0.5,
     0.7, 0.9, 0.99, 1.0 - 1e-4, 1.0 - 1e-6, 1.0 - 1e-9, 1.0 - 1e-12,
 ]
 
 
 def test_inverse_normal_cdf_matches_bisection_oracle():
     for p in PROBES:
-        assert inverse_normal_cdf(p) == pytest.approx(bisect_normal_quantile(p), abs=1e-9)
+        assert inverse_normal_cdf(p) == pytest.approx(bisect_normal_quantile(p), abs=1e-12)
 
 
 def test_inverse_normal_cdf_known_points():
@@ -91,11 +91,23 @@ def test_uniform_source_is_linear_in_p():
 def test_uniform_source_rejects_bad_support():
     with pytest.raises(ValueError, match="lo < hi"):
         uniform(3.0, 3.0)
+    with pytest.raises(ValueError, match="finite"):
+        uniform(-math.inf, math.inf)
+
+
+def test_uniform_and_constant_are_piecewise_linear_sources():
+    ps = np.random.default_rng(5).random(10_000)
+    lo, hi = -1.5, 2.25
+    assert np.array_equal(quantile(uniform(lo, hi), ps), lo + ps * (hi - lo))
+    assert np.array_equal(quantile(constant(4.2), ps), np.full(ps.shape, 4.2))
 
 
 def test_normal_source_rejects_bad_sd():
     with pytest.raises(ValueError, match="sd"):
         normal(0.0, 0.0)
+    for mean, sd in [(math.nan, 1.0), (0.0, math.inf), (math.inf, 1.0)]:
+        with pytest.raises(ValueError, match="finite"):
+            normal(mean, sd)
 
 
 def test_empirical_quantile_matches_order_statistic_interpolation():

@@ -112,6 +112,14 @@ def test_replication_zero_and_clip_policies_agree_on_smooth_cases():
     assert clip.endpoint_policy == "clip_epsilon"
 
 
+@pytest.mark.parametrize("policy", ["zero_endpoints", "clip_epsilon"])
+def test_uniform_replication_is_the_two_sample_empirical_value(policy):
+    config = QuadratureConfig(n_points=10_001, endpoint_policy=policy)
+    for spec in (WeightSpec.exponential(a=5.0), WeightSpec.power(0.1), WeightSpec.es(0.95)):
+        got = srm_replication(uniform(-1.5, 2.25), spec, config).value
+        assert got == srm_replication(load_empirical([-1.5, 2.25]), spec, config).value
+
+
 def test_replication_requires_its_own_scheme():
     with pytest.raises(ValueError, match="replication"):
         srm_replication(standard_normal(), WeightSpec.flat(), QuadratureConfig(scheme="converged"))

@@ -31,6 +31,8 @@ def test_weight_spec_param_validation():
         WeightSpec(family="cubic")
     with pytest.raises(ValueError, match="a must be positive"):
         WeightSpec(family="exponential", a=0.0)
+    with pytest.raises(ValueError, match="finite"):
+        WeightSpec.exponential(a=math.inf)
     with pytest.raises(ValueError, match="c must lie"):
         WeightSpec(family="power", c=1.0)
     with pytest.raises(ValueError, match="alpha must lie"):
