@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.special import ndtri
+from scipy.special import ndtri, ndtri_exp
 
 from .errors import DataError
 
@@ -29,6 +29,9 @@ __all__ = [
 ]
 
 _KINDS = ("normal", "empirical")
+# Above |ndtri(5e-324)| = 38.47: no probability a double can hold puts a
+# normal quantile further from the mean than this many sd.
+_DEEPEST_Z = 38.5
 
 
 def inverse_normal_cdf(p):
@@ -70,11 +73,13 @@ class QuantileSource:
                 raise ValueError("normal mean and sd must be finite")
             if not self.sd > 0.0:
                 raise ValueError("sd must be positive")
+            if not math.isfinite(abs(self.mean) + _DEEPEST_Z * self.sd):
+                raise ValueError(f"normal quantiles must stay finite: |mean| + {_DEEPEST_Z} sd overflows")
         else:
             if self.samples is None or self.samples.size == 0:
                 raise ValueError("empirical source needs at least one sample")
-            if not np.all(np.isfinite(self.samples)):
-                raise ValueError("empirical samples must be finite")
+            if not math.isfinite(float(self.samples.max()) - float(self.samples.min())):
+                raise ValueError("empirical samples must be finite, and so must their range")
 
 
 def _empirical(samples: np.ndarray) -> QuantileSource:
@@ -91,16 +96,12 @@ def normal(mean: float, sd: float) -> QuantileSource:
 
 
 def constant(value: float) -> QuantileSource:
-    if not math.isfinite(value):
-        raise ValueError("constant loss must be finite")
     return _empirical(np.array([float(value)]))
 
 
 def uniform(lo: float, hi: float) -> QuantileSource:
     if not lo < hi:
         raise ValueError("uniform support needs lo < hi")
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise ValueError("uniform bounds must be finite")
     return _empirical(np.array([float(lo), float(hi)]))
 
 
@@ -119,7 +120,10 @@ def load_empirical(records) -> QuantileSource:
     if np.any(bad):
         row = int(np.argmax(bad)) + 1
         raise DataError(f"non-finite loss at row {row}")
-    return _empirical(np.sort(arr))
+    arr = np.sort(arr)
+    if not math.isfinite(float(arr[-1]) - float(arr[0])):
+        raise DataError("losses span more than the float range")
+    return _empirical(arr)
 
 
 def read_loss_csv(path) -> QuantileSource:
@@ -172,11 +176,19 @@ def _limit_quantile(source: QuantileSource, p: float) -> float:
     return float(_interpolate(source.samples, p))
 
 
-def _upper_quantile(source: QuantileSource, t: float) -> float:
-    """Quantile at p = 1 - t, evaluated through the upper-tail probability t
-    so that tails too small to resolve inside 1 - p stay accurate."""
+def _upper_quantile(source: QuantileSource, log_t):
+    """Quantile at p = 1 - t for an array of upper-tail probabilities given
+    by their logs, so that tails too small to hold in a double stay
+    accurate; beyond t = 5e-324 a normal quantile may overflow to inf."""
+    # t rounds to 1 at the bottom of the weight mass, and ndtri_exp(0) is inf
+    log_t = np.minimum(log_t, -(2.0**-53))
     if source.kind == "normal":
-        # t = u**(1/c) underflows to 0 for small c; the clamp keeps it in
-        # the open interval the inverse normal accepts
-        return source.mean - source.sd * inverse_normal_cdf(max(t, 1e-300))
-    return float(_interpolate(source.samples, 1.0 - t))
+        with np.errstate(over="ignore"):
+            return source.mean - source.sd * ndtri_exp(log_t)
+    return _interpolate(source.samples, -np.expm1(log_t))
+
+
+def _linear_knots(source: QuantileSource):
+    """The values x_k that a piecewise-linear source interpolates at
+    p_k = k / (n - 1), or None for a source with a smooth quantile."""
+    return None if source.kind == "normal" else source.samples

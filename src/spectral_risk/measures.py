@@ -28,7 +28,7 @@ def srm(source: QuantileSource, spec: WeightSpec, config: QuadratureConfig | Non
     """Spectral risk measure: the weight-averaged quantile integral.
 
     Defaults to the replication scheme on its standard grid; pass a config
-    with scheme converged for singularity-aware adaptive quadrature.
+    with scheme converged for a value certified to its rel_tol.
     """
     if config is None:
         config = QuadratureConfig()
@@ -40,8 +40,8 @@ def srm(source: QuantileSource, spec: WeightSpec, config: QuadratureConfig | Non
 def es(source: QuantileSource, alpha: float, config: QuadratureConfig | None = None) -> float:
     """Expected shortfall at confidence alpha: the average loss beyond VaR.
 
-    Without a config this uses the converged scheme, whose single
-    singularity at p = 1 it resolves exactly for bounded sources.
+    Without a config this uses the converged scheme at rel_tol 1e-9, which
+    is exact up to rounding for piecewise-linear sources.
     """
     spec = WeightSpec.es(alpha)
     if config is None:

@@ -74,7 +74,7 @@ class WeightSpec:
             # a / (1 - exp(-a)), stable for small a via expm1
             return self.a / -math.expm1(-self.a)
         if self.family == "power":
-            return self.c * (1.0 - self.c)
+            return self.c
         if self.family == "es":
             return 1.0 / (1.0 - self.alpha)
         return 1.0
@@ -148,7 +148,7 @@ def weight(spec: WeightSpec, p):
     elif fam == "power":
         if np.any(arr == 1.0):
             raise SingularityError("power weight diverges at p = 1")
-        out = spec.c * (1.0 - arr) ** (spec.c - 1.0)
+        out = spec.lambda_ * (1.0 - arr) ** (spec.c - 1.0)
     elif fam == "es":
         out = np.where(arr >= spec.alpha, 1.0 / (1.0 - spec.alpha), 0.0)
     else:
@@ -182,6 +182,62 @@ def weight_mass(spec: WeightSpec, p):
     if arr.ndim == 0:
         return float(out)
     return out
+
+
+def _mass_integral(spec: WeightSpec, t, d):
+    """Integral of the weight mass over p in [1 - t - d, 1 - t], i.e.
+    G(1 - t) - G(1 - t - d) with G(p) the integral of weight_mass from 0 to
+    p, vectorised over upper-tail probabilities t >= 0, for a width
+    0 < d <= 1 - t.
+
+    Each form integrates over a segment of width exactly d and subtracts
+    no two nearly equal numbers, so short segments keep their relative
+    accuracy however many of them tile [0, 1].
+    """
+    fam = spec.family
+    if fam == "exponential":
+        a = spec.a
+        if a >= 1.0:
+            return (np.exp(-a * t) * -np.expm1(-a * d) / a - d * math.exp(-a)) / -math.expm1(-a)
+        # For small a the two terms above nearly cancel, and the division by
+        # 1 - exp(-a) amplifies what is lost.  Around the segment midpoint m
+        # the integral is d [exp(-a) expm1(a (1 - m)) + exp(-a m) (sinh(x)/x - 1)]
+        # / (1 - exp(-a)) with x = a d / 2 < 0.5, and sinh(x)/x - 1 is summed
+        # as its series to relative accuracy.
+        x2 = (0.5 * a * d) ** 2
+        shc1 = x2 / 6.0 * (1 + x2 / 20 * (1 + x2 / 42 * (1 + x2 / 72 * (1 + x2 / 110 * (1 + x2 / 156)))))
+        mid = t + 0.5 * d
+        return d * (math.exp(-a) * np.expm1(a * (1.0 - mid)) + np.exp(-a * mid) * shc1) / -math.expm1(-a)
+    if fam == "power":
+        c1 = spec.c + 1.0
+        top = t + d
+        # (top - d)**c1 = top**c1 * exp(c1 * log1p(-d / top)); at t = 0 the
+        # log is -inf and its expm1 exactly -1
+        with np.errstate(divide="ignore"):
+            drop = top**c1 * -np.expm1(c1 * np.log1p(-d / top))
+        return d - drop / c1
+    if fam == "es":
+        beta = 1.0 - spec.alpha
+        inside = np.clip(beta - t, 0.0, d)
+        return inside * (1.0 - (t + 0.5 * inside) / beta)
+    return d * (1.0 - t - 0.5 * d)
+
+
+def _log_tail_probability(spec: WeightSpec, w):
+    """Log of the upper-tail probability t that holds the top w of the
+    weight mass, weight_mass(spec, 1 - t) = 1 - w, vectorised over w in
+    [0, 1).  In logs, t = w**(1/c) keeps its value where it underflows."""
+    w = np.asarray(w, dtype=float)
+    fam = spec.family
+    with np.errstate(divide="ignore"):
+        if fam == "exponential":
+            return np.log(-np.log1p(w * math.expm1(-spec.a))) - math.log(spec.a)
+        log_w = np.log(w)
+    if fam == "power":
+        return log_w / spec.c
+    if fam == "es":
+        return log_w + math.log1p(-spec.alpha)
+    return log_w
 
 
 def utility_exponential(x, a: float):

@@ -3,7 +3,8 @@
 Everything here is deliberately slow and simple: plain bisection against
 the complementary error function for normal quantiles, a textbook Simpson
 loop for integrals, and the direct order-statistic interpolation formula
-for empirical quantiles.  None of it shares code with the package.
+for empirical quantiles, which the two combine into a segment-by-segment
+spectral measure.  None of it shares code with the package.
 """
 
 import math
@@ -53,3 +54,22 @@ def interp_quantile(sorted_samples, p):
     k = min(int(math.floor(h)), n - 2)
     g = h - k
     return sorted_samples[k] + g * (sorted_samples[k + 1] - sorted_samples[k])
+
+
+def segment_simpson_srm(sorted_samples, weight, panels=8):
+    """Integral of weight(p) * q(p) over [0, 1] for the order-statistic
+    interpolation q, by composite Simpson on each segment between adjacent
+    order statistics, where q is linear; one scalar call per node."""
+    n = len(sorted_samples)
+    if n == 1:
+        return sorted_samples[0] * simpson_slow(weight, 0.0, 1.0, 2 * panels + 1)
+    total = 0.0
+    for k in range(n - 1):
+        lo, hi = k / (n - 1), (k + 1) / (n - 1)
+        x0, x1 = sorted_samples[k], sorted_samples[k + 1]
+
+        def f(p):
+            return weight(p) * (x0 + (p - lo) * (n - 1) * (x1 - x0))
+
+        total += simpson_slow(f, lo, hi, 2 * panels + 1)
+    return total

@@ -137,6 +137,9 @@ def test_non_finite_parameters_are_usage_errors(capsys):
         ["--family", "flat", "--dist", "normal", "--mean", "inf"],
         ["--family", "flat", "--dist", "uniform", "--lo=-inf", "--hi", "inf"],
         ["--family", "exponential", "--a", "inf"],
+        # finite parameters whose quantiles overflow
+        ["--family", "flat", "--dist", "normal", "--mean", "1e308", "--sd", "1e308"],
+        ["--family", "flat", "--dist", "uniform", "--lo=-1.7e308", "--hi", "1.7e308"],
     ]
     for extra in cases:
         with warnings.catch_warnings(record=True) as caught:
@@ -181,6 +184,13 @@ def test_data_errors_exit_with_code_2(tmp_path, capsys):
     code, _, err = run(argv, capsys)
     assert code == 2
     assert "cannot read" in err
+
+    wide = tmp_path / "wide.csv"
+    wide.write_text("-1.7e308\n1.7e308\n", encoding="utf-8")
+    argv[-1] = str(wide)
+    code, _, err = run(argv, capsys)
+    assert code == 2
+    assert "float range" in err
 
 
 def test_numeric_failures_exit_with_code_3(capsys):

@@ -93,6 +93,8 @@ def test_uniform_source_rejects_bad_support():
         uniform(3.0, 3.0)
     with pytest.raises(ValueError, match="finite"):
         uniform(-math.inf, math.inf)
+    with pytest.raises(ValueError, match="range"):
+        uniform(-1.7e308, 1.7e308)
 
 
 def test_uniform_and_constant_are_piecewise_linear_sources():
@@ -108,6 +110,11 @@ def test_normal_source_rejects_bad_sd():
     for mean, sd in [(math.nan, 1.0), (0.0, math.inf), (math.inf, 1.0)]:
         with pytest.raises(ValueError, match="finite"):
             normal(mean, sd)
+    # quantiles as deep as any double probability reaches must stay finite
+    for mean, sd in [(1e308, 1e308), (0.0, 1e307), (-1.7e308, 1e306)]:
+        with pytest.raises(ValueError, match="finite"):
+            normal(mean, sd)
+    assert math.isfinite(quantile(normal(0.0, 4e306), 5e-324))
 
 
 def test_empirical_quantile_matches_order_statistic_interpolation():
@@ -151,6 +158,9 @@ def test_load_empirical_rejects_empty_and_non_finite():
         load_empirical([1.0, math.nan, 3.0])
     with pytest.raises(DataError, match="flat sequence"):
         load_empirical([[1.0, 2.0]])
+    # each loss is finite, but the range x_max - x_min overflows
+    with pytest.raises(DataError, match="float range"):
+        load_empirical([1.7e308, 0.0, -1.7e308])
 
 
 @pytest.mark.parametrize("kind_src", [

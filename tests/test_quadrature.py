@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from reference import simpson_slow
+from reference import segment_simpson_srm, simpson_slow
 from spectral_risk import (
     ConvergenceError,
     NumericalError,
@@ -14,6 +14,7 @@ from spectral_risk import (
     constant,
     convergence_study,
     load_empirical,
+    normal,
     quantile,
     simpson_composite,
     srm_converged,
@@ -24,7 +25,9 @@ from spectral_risk import (
     weight,
     weight_mass,
 )
-from spectral_risk.quadrature import _integrate_open, _weight_mass_inverse
+from spectral_risk.distributions import _upper_quantile
+from spectral_risk.quadrature import _tanh_sinh
+from spectral_risk.risk_aversion import _log_tail_probability
 
 # high-precision values computed independently for these source and weight
 # pairs; the converged scheme at rel_tol 1e-9 must land within 5e-9 of them
@@ -70,8 +73,9 @@ def test_simpson_composite_input_validation():
         simpson_composite(np.exp, 0.0, 1.0, 10)
     with pytest.raises(ValueError, match="lo < hi"):
         simpson_composite(np.exp, 1.0, 1.0, 11)
-    with pytest.raises(NumericalError, match="not finite"), np.errstate(divide="ignore"):
+    with pytest.raises(NumericalError, match="not finite") as exc_info, np.errstate(divide="ignore"):
         simpson_composite(lambda x: 1.0 / x, 0.0, 1.0, 11)
+    assert "np.float64" not in str(exc_info.value)
     with pytest.raises(NumericalError, match="one value per node"):
         simpson_composite(lambda x: 1.0, 0.0, 1.0, 11)
 
@@ -162,6 +166,26 @@ def test_converged_matches_independent_references_power(c, ref):
     assert result.value == pytest.approx(ref, abs=5e-9)
 
 
+# 20-digit values of the integral over w of the upper-tail quantile at
+# t = w**(1/c), by mpmath at 40 digits; t falls below 1e-300 for
+# w < 1e-300**c, a thousandth of the mass at c = 0.01 and half at 0.001
+@pytest.mark.parametrize("c,ref", [(0.01, 12.192169053533227246), (0.001, 39.483177811456409022)])
+@pytest.mark.parametrize("rel_tol", [1e-6, 1e-10])
+def test_converged_resolves_tails_a_double_cannot_hold(c, ref, rel_tol):
+    result = srm_converged(standard_normal(), WeightSpec.power(c), rel_tol=rel_tol)
+    assert abs(result.value - ref) <= result.estimated_error
+    assert result.estimated_error <= rel_tol * ref
+
+
+def test_converged_fails_loudly_where_a_deep_tail_quantile_overflows():
+    # at c = 0.05 the outermost tanh-sinh node has z = 58, and 58 sd
+    # overflows a double at sd = 4e306
+    with pytest.raises(NumericalError, match="not finite"):
+        srm_converged(normal(0.0, 4e306), WeightSpec.power(0.05), rel_tol=1e-6)
+    got = srm_converged(normal(0.0, 1e306), WeightSpec.power(0.05), rel_tol=1e-6)
+    assert got.value == pytest.approx(1e306 * 5.034351983089521, rel=1e-12)
+
+
 def test_converged_handles_bounded_sources_exactly():
     got = srm_converged(constant(4.2), WeightSpec.power(0.3), rel_tol=1e-9)
     assert got.value == pytest.approx(4.2, abs=1e-9)
@@ -179,6 +203,18 @@ def test_converged_uniform_exponential_analytic_value():
                  - 2.0 * (1.0 - (1.0 + a) * math.exp(-a)) / a**2)
     got = srm_converged(uniform(1.0, 3.0), WeightSpec.exponential(a=a), rel_tol=1e-9)
     assert got.value == pytest.approx(ref, abs=5e-9)
+
+
+@pytest.mark.parametrize("a,ref", [
+    (0.99, 0.58118305863661362728),
+    (0.5, 0.54149408253679828413),
+    (0.01, 0.50083333194444775131),
+])
+def test_converged_uniform_small_a_exponential_to_rounding(a, ref):
+    # 1 - 1/a + 1/expm1(a) for q = p, evaluated to 20 digits; below a = 1
+    # the segment integral takes its series form, which must be as exact
+    got = srm_converged(uniform(0.0, 1.0), WeightSpec.exponential(a=a), rel_tol=1e-12)
+    assert abs(got.value - ref) <= got.estimated_error
 
 
 def test_converged_uniform_power_analytic_value():
@@ -217,18 +253,19 @@ def test_unattainable_tolerance_raises_instead_of_lying():
     assert math.isfinite(err.error_bound)
 
 
+def test_converged_error_estimate_is_measured_not_the_target():
+    ref = NORMAL_EXPONENTIAL_REFS[5.0]
+    result = srm_converged(standard_normal(), WeightSpec.exponential(a=5.0), rel_tol=1e-6)
+    assert result.estimated_error < 1e-6 * result.value
+    assert abs(result.value - ref) <= result.estimated_error
+
+
 def test_exhausted_refinement_budget_reports_its_best_estimate():
     src = standard_normal()
     spec = WeightSpec.exponential(a=5.0)
-    f = lambda p: weight(spec, p) * quantile(src, p)
+    f = lambda w: _upper_quantile(src, _log_tail_probability(spec, w))
     with pytest.raises(ConvergenceError, match="did not converge") as exc_info:
-        _integrate_open(
-            f, 0.0, 1.0, 1e-9,
-            lower_open=True, upper_open=True,
-            tail_below=lambda p: weight_mass(spec, p) * quantile(src, p),
-            tail_above=lambda p: (1.0 - weight_mass(spec, p)) * quantile(src, p),
-            max_rounds=4,
-        )
+        _tanh_sinh(f, 1e-9, max_levels=2)
     err = exc_info.value
     assert err.best_estimate == pytest.approx(NORMAL_EXPONENTIAL_REFS[5.0], abs=0.1)
     # the reported bound must be finite, positive, and honestly cover the
@@ -239,12 +276,42 @@ def test_exhausted_refinement_budget_reports_its_best_estimate():
 
 
 def test_weight_mass_inverse_round_trips():
-    v = np.linspace(0.001, 0.999, 23)
+    w = np.linspace(0.001, 0.999, 23)
     for spec in (WeightSpec.exponential(a=5.0), WeightSpec.exponential(a=0.01),
                  WeightSpec.power(0.3), WeightSpec.es(0.9), WeightSpec.flat()):
-        p = _weight_mass_inverse(spec, v)
-        assert np.all((p > 0.0) & (p < 1.0))
-        assert np.allclose(weight_mass(spec, p), v, atol=1e-12)
+        log_t = _log_tail_probability(spec, w)
+        assert np.all((log_t > -math.inf) & (log_t < 0.0))
+        assert np.allclose(weight_mass(spec, -np.expm1(log_t)), 1.0 - w, atol=1e-12)
+
+
+def _exponential_weight(a):
+    lam = a / -math.expm1(-a)
+    return lambda p: lam * math.exp(-a * (1.0 - p))
+
+
+@pytest.mark.parametrize("spec,phi", [
+    (WeightSpec.exponential(a=5.0), _exponential_weight(5.0)),
+    (WeightSpec.exponential(a=0.01), _exponential_weight(0.01)),
+    (WeightSpec.flat(), lambda p: 1.0),
+], ids=["exponential-5", "exponential-0.01", "flat"])
+def test_closed_form_matches_a_per_segment_simpson_reference(spec, phi):
+    samples = np.sort(np.random.default_rng(23).standard_t(3, 2000))
+    ref = segment_simpson_srm(samples, phi)
+    result = srm_converged(load_empirical(samples), spec, rel_tol=1e-9)
+    assert result.n_points == 2000
+    assert abs(result.value - ref) <= result.estimated_error + 1e-12
+
+
+def test_closed_form_refuses_a_tolerance_below_its_rounding_bound():
+    src = load_empirical(np.random.default_rng(3).normal(size=1000))
+    spec = WeightSpec.exponential(a=5.0)
+    certified = srm_converged(src, spec, rel_tol=1e-9)
+    with pytest.raises(ConvergenceError) as exc_info:
+        srm_converged(src, spec, rel_tol=1e-20)
+    err = exc_info.value
+    assert err.best_estimate == certified.value
+    assert 0.0 < err.error_bound < math.inf
+    assert err.error_bound == certified.estimated_error
 
 
 def test_monte_carlo_is_reproducible_and_seed_sensitive():

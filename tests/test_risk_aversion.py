@@ -51,7 +51,7 @@ def test_gamma_is_the_reciprocal_parameterisation():
 
 def test_normalising_constants():
     assert WeightSpec.exponential(a=5.0).lambda_ == pytest.approx(5.0 / (1.0 - math.exp(-5.0)), rel=1e-15)
-    assert WeightSpec.power(0.5).lambda_ == pytest.approx(0.25, abs=1e-15)
+    assert WeightSpec.power(0.5).lambda_ == pytest.approx(0.5, abs=1e-15)
     assert WeightSpec.es(0.95).lambda_ == pytest.approx(20.0, rel=1e-15)
     assert WeightSpec.flat().lambda_ == 1.0
     # small a must not cancel to zero in 1 - exp(-a)
