@@ -111,7 +111,9 @@ def load_empirical(records) -> QuantileSource:
     Samples are stored sorted; quantiles interpolate linearly between order
     statistics.  Rows are numbered from 1 in error messages.
     """
-    arr = np.asarray(list(records), dtype=float)
+    if not isinstance(records, (np.ndarray, list, tuple)):
+        records = list(records)  # a one-shot iterable, such as a generator
+    arr = np.asarray(records, dtype=float)
     if arr.ndim != 1:
         raise DataError("expected a flat sequence of losses")
     if arr.size == 0:
@@ -152,8 +154,19 @@ def read_loss_csv(path) -> QuantileSource:
 
 
 def _interpolate(samples: np.ndarray, p):
-    """Order-statistic interpolation at p in [0, 1]; a single sample is flat."""
-    return np.interp(p, np.linspace(0.0, 1.0, samples.size), samples)
+    """Order-statistic interpolation at p in [0, 1]; a single sample is flat.
+
+    The m samples are knots at the uniform p = j / (m - 1), so p falls in
+    segment j = floor(p (m - 1)), and p = 1 ends the last segment.
+    """
+    m = samples.size
+    if m == 1:
+        return np.full(np.shape(p), samples[0])
+    t = np.asarray(p, dtype=float) * (m - 1)
+    j = np.minimum(t.astype(np.intp), m - 2)
+    x = samples[j]
+    # samples[1:][j] is samples[j + 1] without building j + 1
+    return x + (t - j) * (samples[1:][j] - x)
 
 
 def quantile(source: QuantileSource, p):
@@ -173,7 +186,18 @@ def _limit_quantile(source: QuantileSource, p: float) -> float:
     if source.kind == "normal":
         # ndtri maps the closed endpoints to -inf and inf
         return source.mean + source.sd * float(ndtri(p))
-    return float(_interpolate(source.samples, p))
+    return float(source.samples[0] if p == 0.0 else source.samples[-1])
+
+
+def _quantile_pair(source: QuantileSource, p, p_mirror):
+    """Quantiles at the arrays p <= 1/2 and p_mirror, their mirrors 1 - p
+    up to rounding.  A normal source evaluates the inverse normal once, at
+    the lower-tail p where it is accurate, and reflects it for the mirror;
+    an empirical source interpolates at both."""
+    if source.kind == "normal":
+        dz = source.sd * inverse_normal_cdf(p)
+        return source.mean + dz, source.mean - dz
+    return _interpolate(source.samples, p), _interpolate(source.samples, p_mirror)
 
 
 def _upper_quantile(source: QuantileSource, log_t):

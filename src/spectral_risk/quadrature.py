@@ -3,16 +3,19 @@
 Two schemes are provided.  The replication scheme is a composite Simpson
 rule on a uniform probability grid with an explicit endpoint policy; it is
 simple, deterministic, and converges slowly from below when the integrand
-is singular at p = 1.  The converged scheme picks its evaluator by what
-the source is.  A piecewise-linear source has an exact closed form in the
-integrated weight mass, so its only error is float rounding, which it
-bounds.  A normal source is integrated in weight-mass space, where the
-weight leaves the integrand and every family's p = 1 singularity becomes
-a mild logarithmic one that a tanh-sinh rule absorbs; its error is the
-measured difference between successive levels.  A Monte Carlo estimator
-that draws the weight mass uniformly through the same map gives an
-independent cross-check, biased low where the weight holds mass beyond
-p = 1 - 1e-16.
+is singular at p = 1.  It evaluates the two endpoints once, as scalars,
+and the interior in one pass over the lower half of the grid, in
+cache-sized chunks, with each node paired with its mirror 1 - p: a normal
+source then needs one inverse-normal evaluation per pair.  The converged
+scheme picks its evaluator by what the source is.  A piecewise-linear
+source has an exact closed form in the integrated weight mass, so its
+only error is float rounding, which it bounds.  A normal source is
+integrated in weight-mass space, where the weight leaves the integrand
+and every family's p = 1 singularity becomes a mild logarithmic one that
+a tanh-sinh rule absorbs; its error is the measured difference between
+successive levels.  A Monte Carlo estimator that draws the weight mass
+uniformly through the same map gives an independent cross-check, biased
+low where the weight holds mass beyond p = 1 - 1e-16.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from .distributions import (
     QuantileSource,
     _limit_quantile,
     _linear_knots,
+    _quantile_pair,
     _upper_quantile,
     quantile,
 )
@@ -43,7 +47,10 @@ __all__ = [
     "convergence_study",
 ]
 
-_CHUNK = 1 << 20
+# lower-half nodes per replication chunk: a few arrays of this size stay in cache
+_CHUNK = 1 << 16
+# draws per Monte Carlo child stream; changing it changes every seeded result
+_MC_CHUNK = 1 << 20
 _ENDPOINT_POLICIES = ("zero_endpoints", "clip_epsilon")
 _SCHEMES = ("replication", "converged")
 _EPS = 2.0**-52
@@ -110,28 +117,42 @@ class MonteCarloResult:
     seed: int
 
 
-def _chunked_simpson(eval_chunk, lo: float, hi: float, n: int) -> float:
-    """Composite Simpson over n grid points, accumulated in fixed chunks so
-    the grid never has to be materialised whole."""
+def _not_finite(x: float) -> NumericalError:
+    return NumericalError(f"integrand not finite at node x = {float(x)!r}")
+
+
+def _chunked_simpson(eval_pair, y_lo: float, y_hi: float, lo: float, hi: float, n: int) -> float:
+    """Composite Simpson over n grid points, folded about the midpoint.
+
+    n is odd, so node k and its mirror n - 1 - k carry the same Simpson
+    coefficient.  One pass runs over the lower half in cache-sized chunks:
+    eval_pair(x, x_mirror) returns the integrand at a chunk's nodes and at
+    their mirrors, and the middle node, its own mirror, is counted once.
+    Chunks start at odd k, so a chunk's even and odd positions are the
+    nodes of coefficient 4 and 2, summed as two strided sums.  The
+    endpoint values y_lo and y_hi, at lo and hi, are passed in as scalars.
+    """
+    for x, y in ((lo, y_lo), (hi, y_hi)):
+        if not math.isfinite(y):
+            raise _not_finite(x)
     h = (hi - lo) / (n - 1)
-    total = 0.0
-    for start in range(0, n, _CHUNK):
-        stop = min(start + _CHUNK, n)
-        idx = np.arange(start, stop)
-        x = lo + idx * h
-        if stop == n:
-            x[-1] = hi
-        y = eval_chunk(idx, x)
-        bad = ~np.isfinite(y)
-        if np.any(bad):
-            j = int(np.argmax(bad))
-            raise NumericalError(f"integrand not finite at node x = {float(x[j])!r}")
-        coef = np.where(idx % 2 == 1, 4.0, 2.0)
-        if start == 0:
-            coef[0] = 1.0
-        if stop == n:
-            coef[-1] = 1.0
-        total += float(coef @ y)
+    mid = (n - 1) // 2
+    total = y_lo + y_hi
+    for start in range(1, mid + 1, _CHUNK):
+        k = np.arange(start, min(start + _CHUNK, mid + 1), dtype=float)
+        x = lo + k * h
+        x_mirror = lo + (n - 1 - k) * h
+        f, f_mirror = eval_pair(x, x_mirror)
+        y = f + f_mirror
+        if k[-1] == mid:
+            y[-1] *= 0.5
+        part = 4.0 * float(y[0::2].sum()) + 2.0 * float(y[1::2].sum())
+        if not math.isfinite(part):
+            for nodes, values in ((x, f), (x_mirror, f_mirror)):
+                bad = ~np.isfinite(values)
+                if np.any(bad):
+                    raise _not_finite(nodes[np.argmax(bad)])
+        total += part
     return total * h / 3.0
 
 
@@ -142,13 +163,16 @@ def simpson_composite(f, lo: float, hi: float, n_points: int) -> float:
     if not lo < hi:
         raise ValueError("need lo < hi")
 
-    def eval_chunk(idx, x):
+    def values(x):
         y = np.asarray(f(x), dtype=float)
         if y.shape != x.shape:
             raise NumericalError("integrand must return one value per node")
         return y
 
-    return _chunked_simpson(eval_chunk, lo, hi, n_points)
+    y_lo, y_hi = (float(y) for y in values(np.array([lo, hi])))
+    return _chunked_simpson(
+        lambda x, x_mirror: (values(x), values(x_mirror)), y_lo, y_hi, lo, hi, n_points
+    )
 
 
 def _limit_weight(spec: WeightSpec, p: float) -> float:
@@ -174,25 +198,23 @@ def srm_replication(
         raise ValueError("config.scheme must be 'replication'")
     n = config.n_points
 
+    def integrand(p, p_mirror):
+        q, q_mirror = _quantile_pair(source, p, p_mirror)
+        return weight(spec, p) * q, weight(spec, p_mirror) * q_mirror
+
     if config.endpoint_policy == "clip_epsilon":
         eps = config.epsilon
 
-        def eval_chunk(idx, p):
-            pe = np.clip(p, eps, 1.0 - eps)
-            return weight(spec, pe) * quantile(source, pe)
+        def eval_pair(p, p_mirror):
+            return integrand(np.maximum(p, eps), np.minimum(p_mirror, 1.0 - eps))
 
+        y_lo, y_hi = (weight(spec, p) * quantile(source, p) for p in (eps, 1.0 - eps))
     else:
+        eval_pair = integrand
+        y_lo = _endpoint_integrand(source, spec, 0.0)
+        y_hi = _endpoint_integrand(source, spec, 1.0)
 
-        def eval_chunk(idx, p):
-            y = np.empty(p.shape)
-            inner = (idx > 0) & (idx < n - 1)
-            pi = p[inner]
-            y[inner] = weight(spec, pi) * quantile(source, pi)
-            for j in np.nonzero(~inner)[0]:
-                y[j] = _endpoint_integrand(source, spec, float(p[j]))
-            return y
-
-    value = _chunked_simpson(eval_chunk, 0.0, 1.0, n)
+    value = _chunked_simpson(eval_pair, y_lo, y_hi, 0.0, 1.0, n)
     return QuadratureResult(
         value=value,
         n_points=n,
@@ -229,7 +251,7 @@ def _tanh_sinh(f, rel_tol: float, max_levels: int = 8) -> tuple[float, float, in
         evals += x.size
         bad = ~np.isfinite(y)
         if np.any(bad):
-            raise NumericalError(f"integrand not finite at node x = {float(x[bad][0])!r}")
+            raise _not_finite(x[bad][0])
         prev = value
         value = 0.5 * value + h * float(w @ y)
         abs_value = 0.5 * abs_value + h * float(w @ np.abs(y))
@@ -336,7 +358,7 @@ def srm_monte_carlo(
     done = 0
     stream = 0
     while done < n_draws:
-        take = min(_CHUNK, n_draws - done)
+        take = min(_MC_CHUNK, n_draws - done)
         rng = np.random.default_rng([seed, stream])
         p = -np.expm1(_log_tail_probability(spec, rng.random(take)))
         x = quantile(source, np.clip(p, 1e-16, 1.0 - 1e-16))

@@ -151,6 +151,17 @@ def test_empirical_samples_are_sorted_and_read_only():
         src.samples[0] = 99.0
 
 
+@pytest.mark.parametrize("wrap", [np.array, list, tuple, iter, lambda v: (x for x in v)],
+                         ids=["ndarray", "list", "tuple", "iterator", "generator"])
+def test_load_empirical_takes_any_flat_iterable_as_a_sorted_read_only_copy(wrap):
+    values = np.array([3.0, -1.0, 2.5, 2.5, 0.0])
+    src = load_empirical(wrap(values))
+    assert list(src.samples) == [-1.0, 0.0, 2.5, 2.5, 3.0]
+    assert not src.samples.flags.writeable
+    assert not np.shares_memory(src.samples, values)
+    assert list(values) == [3.0, -1.0, 2.5, 2.5, 0.0]
+
+
 def test_load_empirical_rejects_empty_and_non_finite():
     with pytest.raises(DataError, match="no loss values"):
         load_empirical([])
@@ -158,6 +169,8 @@ def test_load_empirical_rejects_empty_and_non_finite():
         load_empirical([1.0, math.nan, 3.0])
     with pytest.raises(DataError, match="flat sequence"):
         load_empirical([[1.0, 2.0]])
+    with pytest.raises(DataError, match="flat sequence"):
+        load_empirical(np.ones((3, 2)))
     # each loss is finite, but the range x_max - x_min overflows
     with pytest.raises(DataError, match="float range"):
         load_empirical([1.7e308, 0.0, -1.7e308])

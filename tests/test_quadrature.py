@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from reference import segment_simpson_srm, simpson_slow
+from reference import segment_simpson_srm, simpson_grid, simpson_slow
 from spectral_risk import (
     ConvergenceError,
     NumericalError,
@@ -26,7 +26,7 @@ from spectral_risk import (
     weight_mass,
 )
 from spectral_risk.distributions import _upper_quantile
-from spectral_risk.quadrature import _tanh_sinh
+from spectral_risk.quadrature import _CHUNK, _endpoint_integrand, _tanh_sinh
 from spectral_risk.risk_aversion import _log_tail_probability
 
 # high-precision values computed independently for these source and weight
@@ -66,6 +66,23 @@ def test_simpson_composite_chunking_is_seamless():
     # grid larger than one evaluation chunk; exact for a linear integrand
     got = simpson_composite(lambda x: x, 0.0, 1.0, 2_097_153)
     assert got == pytest.approx(0.5, abs=1e-12)
+
+
+def test_simpson_composite_on_a_single_panel():
+    f = lambda x: np.exp(x) * np.sin(x)
+    ref = simpson_grid(f(np.array([0.0, 0.75, 1.5])), 0.75)
+    assert simpson_composite(f, 0.0, 1.5, 3) == pytest.approx(ref, rel=1e-15)
+
+
+@pytest.mark.parametrize("n,node", [(3, 0.0), (3, 1.0), (5, 0.25), (5, 0.75), (7, 0.5)])
+def test_simpson_composite_names_the_node_that_is_not_finite(n, node):
+    # endpoints, a node of either half, and the middle node
+    f = lambda x: np.where(x == node, np.nan, x)
+    with pytest.raises(NumericalError, match="not finite") as exc_info:
+        simpson_composite(f, 0.0, 1.0, n)
+    message = str(exc_info.value)
+    assert message.endswith(f"x = {node!r}")
+    assert "np.float64" not in message
 
 
 def test_simpson_composite_input_validation():
@@ -148,6 +165,45 @@ def test_replication_is_positively_homogeneous_on_samples():
     one = srm_replication(load_empirical(x), spec, config).value
     two = srm_replication(load_empirical(2.0 * x), spec, config).value
     assert two == 2.0 * one
+
+
+def _grid_reference(source, spec, n, policy, eps=1e-9):
+    """Replication value from the integrand at every node of the grid,
+    summed by the whole-grid Simpson dot product."""
+    p = np.arange(n) * (1.0 / (n - 1))
+    p[-1] = 1.0
+    if policy == "clip_epsilon":
+        pe = np.clip(p, eps, 1.0 - eps)
+        y = weight(spec, pe) * quantile(source, pe)
+    else:
+        y = np.empty(n)
+        y[1:-1] = weight(spec, p[1:-1]) * quantile(source, p[1:-1])
+        y[0] = _endpoint_integrand(source, spec, 0.0)
+        y[-1] = _endpoint_integrand(source, spec, 1.0)
+    return simpson_grid(y, 1.0 / (n - 1))
+
+
+# grid sizes whose folded lower half, nodes 1 to (n - 1) / 2, ends one node
+# before, on, and one node after the end of the first chunk
+_CHUNK_EDGE_SIZES = (2 * _CHUNK - 1, 2 * _CHUNK + 1, 2 * _CHUNK + 3)
+
+
+@pytest.mark.parametrize("policy", ["zero_endpoints", "clip_epsilon"])
+@pytest.mark.parametrize("spec", [
+    WeightSpec.exponential(a=5.0), WeightSpec.power(0.5), WeightSpec.es(0.9), WeightSpec.flat(),
+], ids=["exponential", "power", "es", "flat"])
+@pytest.mark.parametrize("source", [
+    normal(0.3, 1.2),
+    load_empirical(np.random.default_rng(29).normal(0.3, 1.2, 500)),
+    uniform(-1.5, 2.25),
+    constant(4.2),
+], ids=["normal", "empirical-500", "uniform", "constant"])
+def test_replication_matches_the_whole_grid_simpson_reference(source, spec, policy):
+    for n in (3, 5, 7, *_CHUNK_EDGE_SIZES):
+        config = QuadratureConfig(n_points=n, endpoint_policy=policy)
+        got = srm_replication(source, spec, config).value
+        ref = _grid_reference(source, spec, n, policy)
+        assert abs(got - ref) <= max(1e-12 * abs(ref), 1e-15), n
 
 
 @pytest.mark.parametrize("a,ref", sorted(NORMAL_EXPONENTIAL_REFS.items()))
@@ -324,6 +380,14 @@ def test_monte_carlo_is_reproducible_and_seed_sensitive():
     assert one.stderr == two.stderr
     assert one.value != other.value
     assert one.n_draws == 50_000 and one.seed == 3
+
+
+def test_monte_carlo_seeded_value_is_pinned_across_two_chunks():
+    # 2**20 + 3 draws take two child streams; a seeded value never moves
+    mc = srm_monte_carlo(standard_normal(), WeightSpec.exponential(a=5.0),
+                         n_draws=(1 << 20) + 3, seed=11)
+    assert mc.value == 1.0809187093178463
+    assert mc.stderr == 0.000753108248924372
 
 
 def test_monte_carlo_agrees_with_quadrature():
