@@ -18,7 +18,7 @@ import numpy as np
 from .distributions import QuantileSource, load_empirical
 from .measures import srm, var
 from .quadrature import QuadratureConfig
-from .risk_aversion import WeightSpec, weight
+from .risk_aversion import _PARAMETER, WeightSpec, weight
 
 __all__ = [
     "SweepResult",
@@ -33,7 +33,9 @@ __all__ = [
     "convergence_to_csv",
 ]
 
-_SWEEP_PARAMS = {"exponential": "a", "power": "c", "es": "alpha"}
+# the replication grid of sweeps and stress runs, which evaluate the measure
+# many times and so take a lighter grid than a single value
+_LIGHT_CONFIG = QuadratureConfig(n_points=100_001)
 
 
 @dataclass(frozen=True)
@@ -79,7 +81,8 @@ def sweep_srm(family: str, param_grid, source: QuantileSource,
     lighter replication grid than single-value computation, since a sweep
     multiplies the work by the grid length.
     """
-    if family not in _SWEEP_PARAMS:
+    key = _PARAMETER.get(family)
+    if key is None:
         raise ValueError(f"cannot sweep family {family!r}")
     params = [float(x) for x in param_grid]
     if not params:
@@ -87,8 +90,7 @@ def sweep_srm(family: str, param_grid, source: QuantileSource,
     if any(not b > a for a, b in zip(params, params[1:])):
         raise ValueError("param_grid must be strictly increasing")
     if config is None:
-        config = QuadratureConfig(n_points=100_001)
-    key = _SWEEP_PARAMS[family]
+        config = _LIGHT_CONFIG
     values = []
     for x in params:
         spec = WeightSpec(family=family, **{key: x})
@@ -144,7 +146,7 @@ def subadditivity_check(measure, sample_size: int = 500, trials: int = 1000,
         raise ValueError("trials must be at least 1")
     if isinstance(measure, WeightSpec):
         spec = measure
-        eval_config = config if config is not None else QuadratureConfig(n_points=100_001)
+        eval_config = config if config is not None else _LIGHT_CONFIG
 
         def evaluate(samples: np.ndarray) -> float:
             return srm(load_empirical(samples), spec, eval_config)

@@ -13,8 +13,8 @@ a fixed command line.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -24,13 +24,9 @@ from . import analysis, measures
 from .distributions import constant, normal, read_loss_csv, standard_normal, uniform
 from .errors import DataError, NumericalError
 from .quadrature import QuadratureConfig, convergence_study, srm_converged
-from .risk_aversion import WeightSpec, check_admissibility
+from .risk_aversion import _PARAMETER, WeightSpec, check_admissibility
 
 __all__ = ["main", "build_parser"]
-
-_COMPUTE_DEFAULT_N = 10_000_001
-_SWEEP_DEFAULT_N = 100_001
-_SUBADD_DEFAULT_N = 100_001
 
 
 class _CliError(Exception):
@@ -58,21 +54,25 @@ def _add_source_args(sp):
 
 
 def _add_weight_args(sp):
-    sp.add_argument(
-        "--family", choices=["exponential", "power", "es", "flat"], help="weight family"
-    )
+    sp.add_argument("--family", choices=list(_PARAMETER), help="weight family")
     sp.add_argument("--a", type=float, help="exponential family parameter")
     sp.add_argument("--gamma", type=float, help="reciprocal of --a (give one of the two)")
     sp.add_argument("--c", type=float, help="power family parameter in (0, 1)")
     sp.add_argument("--alpha", type=float, help="confidence level for es / var")
 
 
-def _add_quad_args(sp):
-    sp.add_argument("--n", type=int, help="odd replication grid size (SRM_DEFAULT_N overrides the built-in default)")
-    sp.add_argument("--scheme", choices=["replication", "converged"])
+def _add_quad_args(sp, base: QuadratureConfig, grid: bool = True):
+    """Quadrature flags, whose help names base's values as the defaults;
+    grid=False leaves out --n and --scheme."""
+    if grid:
+        sp.add_argument("--n", dest="n_points", metavar="N", type=int,
+                        help=f"odd replication grid size (default {base.n_points:,})")
+        sp.add_argument("--scheme", choices=["replication", "converged"])
     sp.add_argument("--endpoint-policy", choices=["zero-endpoints", "clip-epsilon"])
-    sp.add_argument("--epsilon", type=float, help="clip width for clip-epsilon (default 1e-9)")
-    sp.add_argument("--rel-tol", type=float, help="relative tolerance for the converged scheme (default 1e-6)")
+    sp.add_argument("--epsilon", type=float,
+                    help=f"clip width for clip-epsilon (default {base.epsilon:g})")
+    sp.add_argument("--rel-tol", type=float,
+                    help=f"relative tolerance for the converged scheme (default {base.rel_tol:g})")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -83,15 +83,15 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--measure", required=True, choices=["var", "es", "srm"])
     _add_source_args(sp)
     _add_weight_args(sp)
-    _add_quad_args(sp)
+    _add_quad_args(sp, QuadratureConfig())
     sp.add_argument("--precision", type=int, default=6, help="decimal places printed (default 6)")
 
     sp = sub.add_parser("sweep", help="sweep a weight family across a parameter grid")
-    sp.add_argument("--family", required=True, choices=["exponential", "power", "es"])
+    sp.add_argument("--family", required=True, choices=[f for f, key in _PARAMETER.items() if key])
     sp.add_argument("--grid", required=True, help="parameter grid as min:max:count")
     sp.add_argument("--log-grid", action="store_true", help="space the grid geometrically")
     _add_source_args(sp)
-    _add_quad_args(sp)
+    _add_quad_args(sp, analysis._LIGHT_CONFIG)
     sp.add_argument("--out", required=True, help="CSV output path (param,value)")
 
     sp = sub.add_parser("weights", help="export weight function samples")
@@ -109,9 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_weight_args(sp)
     _add_source_args(sp)
     sp.add_argument("--n-list", required=True, help="comma-separated odd grid sizes")
-    sp.add_argument("--endpoint-policy", choices=["zero-endpoints", "clip-epsilon"])
-    sp.add_argument("--epsilon", type=float)
-    sp.add_argument("--rel-tol", type=float)
+    _add_quad_args(sp, QuadratureConfig(), grid=False)
     sp.add_argument("--out", required=True, help="CSV output path (n,value)")
 
     sp = sub.add_parser("subadd", help="stress subadditivity on random sample pairs")
@@ -119,7 +117,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--trials", type=int, default=1000)
     sp.add_argument("--sample-size", type=int, default=500)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--n", type=int, help="replication grid size per evaluation")
+    sp.add_argument("--n", dest="n_points", metavar="N", type=int,
+                    help=f"replication grid size per evaluation (default {analysis._LIGHT_CONFIG.n_points:,})")
     sp.add_argument("--out", help="write the JSON report here instead of stdout")
 
     return parser
@@ -131,94 +130,72 @@ def _make_source(args):
         if not args.input:
             raise _CliError("--dist empirical needs --input")
         return read_loss_csv(args.input)
-    try:
-        if kind == "constant":
-            if args.value is None:
-                raise _CliError("--dist constant needs --value")
-            return constant(args.value)
-        if kind == "uniform":
-            if args.lo is None or args.hi is None:
-                raise _CliError("--dist uniform needs --lo and --hi")
-            return uniform(args.lo, args.hi)
-        if kind == "normal":
-            return normal(args.mean, args.sd)
-        return standard_normal()
-    except ValueError as exc:
-        raise _CliError(str(exc)) from exc
+    if kind == "constant":
+        if args.value is None:
+            raise _CliError("--dist constant needs --value")
+        return constant(args.value)
+    if kind == "uniform":
+        if args.lo is None or args.hi is None:
+            raise _CliError("--dist uniform needs --lo and --hi")
+        return uniform(args.lo, args.hi)
+    if kind == "normal":
+        return normal(args.mean, args.sd)
+    return standard_normal()
 
 
 def _make_spec(args) -> WeightSpec:
     family = args.family
     if family is None:
         raise _CliError("--family is required")
-    try:
-        if family == "exponential":
-            return WeightSpec.exponential(a=args.a, gamma=args.gamma)
-        if family == "power":
-            if args.c is None:
-                raise _CliError("--family power needs --c")
-            return WeightSpec.power(args.c)
-        if family == "es":
-            if args.alpha is None:
-                raise _CliError("--family es needs --alpha")
-            return WeightSpec.es(args.alpha)
-        return WeightSpec.flat()
-    except ValueError as exc:
-        raise _CliError(str(exc)) from exc
+    if family == "exponential":
+        return WeightSpec.exponential(a=args.a, gamma=args.gamma)
+    key = _PARAMETER[family]
+    if key is None:
+        return WeightSpec(family)
+    if getattr(args, key) is None:
+        raise _CliError(f"--family {family} needs --{key}")
+    return WeightSpec(family, **{key: getattr(args, key)})
 
 
-def _resolve_n(args, default_n: int) -> int:
-    n = getattr(args, "n", None)
-    if n is not None:
-        return n
-    env = os.environ.get("SRM_DEFAULT_N")
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            raise _CliError(f"SRM_DEFAULT_N is not an integer: {env!r}") from None
-    return default_n
+def _make_config(args, base: QuadratureConfig | None) -> QuadratureConfig | None:
+    """base with each quadrature flag given on the command line in its
+    place.  A None base stands for the library call's own default: it
+    stays None when no flag is given, and flags start from
+    QuadratureConfig()."""
+    given = {
+        field.name: getattr(args, field.name)
+        for field in dataclasses.fields(QuadratureConfig)
+        if getattr(args, field.name, None) is not None
+    }
+    if "endpoint_policy" in given:
+        given["endpoint_policy"] = given["endpoint_policy"].replace("-", "_")
+    if base is None and not given:
+        return None
+    return dataclasses.replace(base or QuadratureConfig(), **given)
 
 
-def _quad_flags_given(args) -> bool:
-    return any(
-        getattr(args, name, None) is not None
-        for name in ("n", "scheme", "endpoint_policy", "epsilon", "rel_tol")
-    )
-
-
-def _make_config(args, default_n: int) -> QuadratureConfig:
-    policy = getattr(args, "endpoint_policy", None) or "zero-endpoints"
-    try:
-        return QuadratureConfig(
-            n_points=_resolve_n(args, default_n),
-            endpoint_policy=policy.replace("-", "_"),
-            epsilon=args.epsilon if getattr(args, "epsilon", None) is not None else 1e-9,
-            scheme=getattr(args, "scheme", None) or "replication",
-            rel_tol=args.rel_tol if getattr(args, "rel_tol", None) is not None else 1e-6,
-        )
-    except ValueError as exc:
-        raise _CliError(str(exc)) from exc
+def _emit_json(payload: dict, out) -> int:
+    text = json.dumps(payload, indent=2) + "\n"
+    if out:
+        Path(out).write_text(text, encoding="utf-8")
+        print(out)
+    else:
+        print(text, end="")
+    return 0
 
 
 def _cmd_compute(args) -> int:
     if args.precision < 0:
         raise _CliError("--precision must be non-negative")
     source = _make_source(args)
-    if args.measure == "var":
-        if args.alpha is None:
-            raise _CliError("--measure var needs --alpha")
+    if args.measure == "srm":
+        value = measures.srm(source, _make_spec(args), _make_config(args, None))
+    elif args.alpha is None:
+        raise _CliError(f"--measure {args.measure} needs --alpha")
+    elif args.measure == "var":
         value = measures.var(source, args.alpha)
-    elif args.measure == "es":
-        if args.alpha is None:
-            raise _CliError("--measure es needs --alpha")
-        if _quad_flags_given(args):
-            value = measures.es(source, args.alpha, _make_config(args, _COMPUTE_DEFAULT_N))
-        else:
-            value = measures.es(source, args.alpha)
     else:
-        spec = _make_spec(args)
-        value = measures.srm(source, spec, _make_config(args, _COMPUTE_DEFAULT_N))
+        value = measures.es(source, args.alpha, _make_config(args, None))
     print(f"{value:.{args.precision}f}")
     return 0
 
@@ -249,7 +226,7 @@ def _parse_grid(text: str, log_grid: bool) -> list[float]:
 def _cmd_sweep(args) -> int:
     grid = _parse_grid(args.grid, args.log_grid)
     source = _make_source(args)
-    config = _make_config(args, _SWEEP_DEFAULT_N)
+    config = _make_config(args, analysis._LIGHT_CONFIG)
     result = analysis.sweep_srm(args.family, grid, source, config)
     analysis.sweep_to_csv(result, args.out)
     print(args.out)
@@ -271,13 +248,7 @@ def _cmd_validate(args) -> int:
     if args.grid_size < 3:
         raise _CliError("--grid-size must be at least 3")
     report = check_admissibility(spec, grid_size=args.grid_size)
-    payload = json.dumps(report.to_dict(), indent=2) + "\n"
-    if args.out:
-        Path(args.out).write_text(payload, encoding="utf-8")
-        print(args.out)
-    else:
-        print(payload, end="")
-    return 0
+    return _emit_json(report.to_dict(), args.out)
 
 
 def _parse_n_list(text: str) -> list[int]:
@@ -294,15 +265,10 @@ def _cmd_convergence(args) -> int:
     spec = _make_spec(args)
     source = _make_source(args)
     ns = _parse_n_list(args.n_list)
-    policy = (args.endpoint_policy or "zero-endpoints").replace("-", "_")
-    epsilon = args.epsilon if args.epsilon is not None else 1e-9
-    rel_tol = args.rel_tol if args.rel_tol is not None else 1e-6
-    try:
-        rows = convergence_study(source, spec, ns, endpoint_policy=policy, epsilon=epsilon)
-    except ValueError as exc:
-        raise _CliError(str(exc)) from exc
+    config = _make_config(args, QuadratureConfig())
+    rows = convergence_study(source, spec, ns, config.endpoint_policy, config.epsilon)
     analysis.convergence_to_csv(rows, args.out)
-    converged = srm_converged(source, spec, rel_tol=rel_tol)
+    converged = srm_converged(source, spec, rel_tol=config.rel_tol)
     gap = rows[-1][1] - converged.value
     print(args.out)
     print(f"converged {converged.value:.6f}")
@@ -312,21 +278,14 @@ def _cmd_convergence(args) -> int:
 
 def _cmd_subadd(args) -> int:
     spec = _make_spec(args)
-    config = QuadratureConfig(n_points=_resolve_n(args, _SUBADD_DEFAULT_N))
     report = analysis.subadditivity_check(
         spec,
         sample_size=args.sample_size,
         trials=args.trials,
         seed=args.seed,
-        config=config,
+        config=_make_config(args, analysis._LIGHT_CONFIG),
     )
-    payload = json.dumps(report.to_dict(), indent=2) + "\n"
-    if args.out:
-        Path(args.out).write_text(payload, encoding="utf-8")
-        print(args.out)
-    else:
-        print(payload, end="")
-    return 0
+    return _emit_json(report.to_dict(), args.out)
 
 
 _COMMANDS = {

@@ -34,7 +34,13 @@ from .distributions import (
     quantile,
 )
 from .errors import ConvergenceError, NumericalError
-from .risk_aversion import WeightSpec, _log_tail_probability, _mass_integral, weight
+from .risk_aversion import (
+    WeightSpec,
+    _limit_weight,
+    _log_tail_probability,
+    _mass_integral,
+    weight,
+)
 
 __all__ = [
     "QuadratureConfig",
@@ -173,12 +179,6 @@ def simpson_composite(f, lo: float, hi: float, n_points: int) -> float:
     return _chunked_simpson(
         lambda x, x_mirror: (values(x), values(x_mirror)), y_lo, y_hi, lo, hi, n_points
     )
-
-
-def _limit_weight(spec: WeightSpec, p: float) -> float:
-    if spec.family == "power" and p == 1.0:
-        return math.inf
-    return weight(spec, p)
 
 
 def _endpoint_integrand(source: QuantileSource, spec: WeightSpec, p: float) -> float:

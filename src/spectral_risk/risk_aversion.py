@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +31,8 @@ __all__ = [
     "check_admissibility",
 ]
 
-_FAMILIES = ("exponential", "power", "es", "flat")
+# the one parameter each weight family takes, None for a family without one
+_PARAMETER = {"exponential": "a", "power": "c", "es": "alpha", "flat": None}
 
 
 @dataclass(frozen=True)
@@ -50,14 +52,16 @@ class WeightSpec:
     alpha: float | None = None
 
     def __post_init__(self):
-        if self.family not in _FAMILIES:
+        if not isinstance(self.family, str) or self.family not in _PARAMETER:
             raise ValueError(f"unknown weight family {self.family!r}")
-        want = {"exponential": "a", "power": "c", "es": "alpha", "flat": None}[self.family]
+        want = _PARAMETER[self.family]
         for name in ("a", "c", "alpha"):
             val = getattr(self, name)
             if name == want:
                 if val is None:
                     raise ValueError(f"{self.family} family needs parameter {name}")
+                if isinstance(val, bool) or not isinstance(val, numbers.Real):
+                    raise ValueError(f"{self.family} parameter {name} must be a real number, not {val!r}")
             elif val is not None:
                 raise ValueError(f"{self.family} family does not take parameter {name}")
         if self.family == "exponential" and not 0.0 < self.a < math.inf:
@@ -158,21 +162,24 @@ def weight(spec: WeightSpec, p):
     return out
 
 
+def _limit_weight(spec: WeightSpec, p: float) -> float:
+    """The weight at a scalar p, or its limit, inf, where the power family
+    diverges at p = 1."""
+    if spec.family == "power" and p == 1.0:
+        return math.inf
+    return weight(spec, p)
+
+
 def weight_mass(spec: WeightSpec, p):
     """Cumulative weight on [0, p]: the integral of the weight up to p."""
     arr = np.asarray(p, dtype=float)
     _check_unit_interval(arr)
     fam = spec.family
     if fam == "exponential":
+        # (exp(a p) - 1) / (exp(a) - 1) with exp(-a) taken out of both:
+        # no difference of near-equal numbers and no overflow for any a
         a = spec.a
-        denom = -math.expm1(-a)
-        out = np.empty_like(arr, dtype=float)
-        # exp(-a) * expm1(a p) avoids cancellation for small a p; the direct
-        # difference takes over once a p is large enough to overflow expm1.
-        low = a * arr < 50.0
-        out[low] = math.exp(-a) * np.expm1(a * arr[low])
-        out[~low] = np.exp(-a * (1.0 - arr[~low])) - math.exp(-a)
-        out = out / denom
+        out = np.exp(-a * (1.0 - arr)) * -np.expm1(-a * arr) / -math.expm1(-a)
     elif fam == "power":
         out = 1.0 - (1.0 - arr) ** spec.c
     elif fam == "es":

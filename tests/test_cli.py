@@ -2,12 +2,18 @@
 
 import json
 import math
+import shlex
 import warnings
+from pathlib import Path
 
 import pytest
 
 from spectral_risk import measures
+from spectral_risk.analysis import subadditivity_check, sweep_srm
 from spectral_risk.cli import main
+from spectral_risk.distributions import standard_normal
+from spectral_risk.quadrature import QuadratureConfig, convergence_study, srm_converged
+from spectral_risk.risk_aversion import WeightSpec
 
 
 def run(argv, capsys):
@@ -79,26 +85,6 @@ def test_constant_and_uniform_sources(capsys):
     assert out == "2.900000\n"
 
 
-def test_env_variable_overrides_the_default_grid(monkeypatch, capsys):
-    monkeypatch.setenv("SRM_DEFAULT_N", "10001")
-    argv = ["compute", "--measure", "srm", "--family", "exponential", "--a", "5"]
-    code, out_env, _ = run(argv, capsys)
-    assert code == 0
-
-    monkeypatch.delenv("SRM_DEFAULT_N")
-    code, out_explicit, _ = run(argv + ["--n", "10001"], capsys)
-    assert code == 0
-    assert out_env == out_explicit
-
-
-def test_env_variable_must_be_an_integer(monkeypatch, capsys):
-    monkeypatch.setenv("SRM_DEFAULT_N", "many")
-    argv = ["compute", "--measure", "srm", "--family", "flat"]
-    code, _, err = run(argv, capsys)
-    assert code == 1
-    assert "SRM_DEFAULT_N" in err
-
-
 def test_repeated_runs_are_byte_identical(capsys):
     argv = ["compute", "--measure", "srm", "--family", "power", "--c", "0.5", "--n", "10001"]
     outputs = {run(argv, capsys)[1] for _ in range(3)}
@@ -109,6 +95,8 @@ def test_usage_errors_exit_with_code_1(capsys):
     cases = [
         ["compute", "--measure", "srm"],                                  # no family
         ["compute", "--measure", "srm", "--family", "power"],             # no c
+        ["compute", "--measure", "srm", "--family", "es"],                # no alpha
+        ["compute", "--measure", "srm", "--family", "exponential"],       # no a, no gamma
         ["compute", "--measure", "srm", "--family", "power", "--c", "2"], # bad c
         ["compute", "--measure", "es"],                                   # no alpha
         ["compute", "--measure", "var"],                                  # no alpha
@@ -127,6 +115,22 @@ def test_usage_errors_exit_with_code_1(capsys):
         code, _, err = run(argv, capsys)
         assert code == 1, argv
         assert err != "", argv
+
+
+def test_library_errors_reach_stderr_verbatim(capsys):
+    base = ["compute", "--measure", "srm"]
+    cases = [
+        (["--family", "power", "--c", "2"], "error: c must lie in (0, 1)\n"),
+        (["--family", "flat", "--dist", "normal", "--sd", "0"], "error: sd must be positive\n"),
+        (["--family", "flat", "--n", "10"], "error: n_points must be odd and at least 3\n"),
+        (["--family", "flat", "--dist", "uniform", "--lo", "2", "--hi", "1"],
+         "error: uniform support needs lo < hi\n"),
+    ]
+    for extra, message in cases:
+        code, out, err = run(base + extra, capsys)
+        assert code == 1, extra
+        assert out == "", extra
+        assert err == message, extra
 
 
 def test_non_finite_parameters_are_usage_errors(capsys):
@@ -217,6 +221,16 @@ def test_sweep_writes_the_grid_csv(tmp_path, capsys):
     assert values[0] < values[1] < values[2]
 
 
+def test_sweep_without_n_uses_the_library_default_grid(tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    argv = ["sweep", "--family", "exponential", "--grid", "1:5:2", "--out", str(out)]
+    code, _, _ = run(argv, capsys)
+    assert code == 0
+    rows = [line.split(",") for line in out.read_text(encoding="utf-8").splitlines()[1:]]
+    expected = sweep_srm("exponential", [1.0, 5.0], standard_normal(), config=None)
+    assert [(float(p), float(v)) for p, v in rows] == expected.rows()
+
+
 def test_sweep_log_grid_spaces_parameters_geometrically(tmp_path, capsys):
     out = tmp_path / "logsweep.csv"
     argv = ["sweep", "--family", "exponential", "--grid", "0.5:8:3",
@@ -291,6 +305,40 @@ def test_convergence_command_reports_the_gap(tmp_path, capsys):
     assert math.isclose(vals[1] - converged, gap, abs_tol=2e-6)
 
 
+def test_convergence_command_passes_its_tolerance_flags_on(tmp_path, capsys):
+    out = tmp_path / "conv.csv"
+    argv = ["convergence", "--family", "power", "--c", "0.5", "--n-list", "101,1001",
+            "--endpoint-policy", "clip-epsilon", "--epsilon", "1e-6", "--rel-tol", "1e-8",
+            "--out", str(out)]
+    code, stdout, _ = run(argv, capsys)
+    assert code == 0
+    source, spec = standard_normal(), WeightSpec.power(0.5)
+    expected = convergence_study(source, spec, [101, 1001], "clip_epsilon", 1e-6)
+    assert expected != convergence_study(source, spec, [101, 1001])
+    rows = [line.split(",") for line in out.read_text(encoding="utf-8").splitlines()[1:]]
+    assert [(int(n), float(v)) for n, v in rows] == expected
+    converged = srm_converged(source, spec, rel_tol=1e-8).value
+    assert stdout.splitlines()[1] == f"converged {converged:.6f}"
+
+    # a tolerance nothing can certify shows that --rel-tol reaches the engine
+    code, _, err = run(argv[:-4] + ["--rel-tol", "1e-300", "--out", str(out)], capsys)
+    assert code == 3
+    assert "converge" in err
+
+
+def test_readme_cli_examples_run(tmp_path, monkeypatch, capsys):
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    lines = [line for line in readme.read_text(encoding="utf-8").splitlines()
+             if line.startswith("srm ")]
+    assert lines
+    (tmp_path / "losses.csv").write_text("loss\n" + "\n".join(str(i) for i in range(1, 51)) + "\n",
+                                         encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    for line in lines:
+        code, _, err = run(shlex.split(line)[1:], capsys)
+        assert code == 0, (line, err)
+
+
 def test_subadd_command_reports_no_violations_for_spectral_weights(capsys):
     argv = ["subadd", "--family", "exponential", "--a", "5",
             "--trials", "5", "--sample-size", "50", "--n", "10001"]
@@ -300,6 +348,18 @@ def test_subadd_command_reports_no_violations_for_spectral_weights(capsys):
     assert report["trials"] == 5
     assert report["violations"] == 0
     assert report["worst_gap"] <= 1e-9
+
+
+def test_subadd_passes_n_on(capsys):
+    argv = ["subadd", "--family", "exponential", "--a", "5",
+            "--trials", "2", "--sample-size", "20", "--n", "11"]
+    code, out, _ = run(argv, capsys)
+    assert code == 0
+    spec = WeightSpec.exponential(5.0)
+    expected = subadditivity_check(spec, sample_size=20, trials=2,
+                                   config=QuadratureConfig(n_points=11))
+    assert expected != subadditivity_check(spec, sample_size=20, trials=2)
+    assert json.loads(out) == expected.to_dict()
 
 
 def test_subadd_can_write_to_a_file(tmp_path, capsys):

@@ -178,6 +178,18 @@ def test_weight_spec_json_rejects_junk():
         WeightSpec.from_json('{"family": "flat", "zeta": 1}')
     with pytest.raises(ValueError, match="needs parameter"):
         WeightSpec.from_json('{"family": "power"}')
+    with pytest.raises(ValueError, match="real number"):
+        WeightSpec.from_json('{"family": "power", "c": "0.5"}')
+    with pytest.raises(ValueError, match="real number"):
+        WeightSpec.from_json('{"family": "exponential", "a": true}')
+    with pytest.raises(ValueError, match="unknown weight family"):
+        WeightSpec.from_json('{"family": ["x"]}')
+
+
+def test_weight_spec_accepts_numpy_scalars():
+    spec = WeightSpec(family="power", c=np.float32(0.5))
+    assert spec.c == 0.5
+    assert WeightSpec(family="es", alpha=np.float64(0.9)).alpha == 0.9
 
 
 def test_ara_recovers_the_exponential_parameter():
