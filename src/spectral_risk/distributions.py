@@ -203,13 +203,20 @@ def _quantile_pair(source: QuantileSource, p, p_mirror):
 def _upper_quantile(source: QuantileSource, log_t):
     """Quantile at p = 1 - t for an array of upper-tail probabilities given
     by their logs, so that tails too small to hold in a double stay
-    accurate; beyond t = 5e-324 a normal quantile may overflow to inf."""
+    accurate."""
     # t rounds to 1 at the bottom of the weight mass, and ndtri_exp(0) is inf
     log_t = np.minimum(log_t, -(2.0**-53))
     if source.kind == "normal":
-        with np.errstate(over="ignore"):
-            return source.mean - source.sd * ndtri_exp(log_t)
+        return source.mean - source.sd * ndtri_exp(log_t)
     return _interpolate(source.samples, -np.expm1(log_t))
+
+
+def _standard_form(source: QuantileSource):
+    """(loc, scale, standard) with source's quantile loc + scale times
+    standard's: normal(mean, sd) gives (mean, sd, standard_normal())."""
+    if source.kind == "normal":
+        return source.mean, source.sd, standard_normal()
+    return 0.0, 1.0, source
 
 
 def _linear_knots(source: QuantileSource):

@@ -30,13 +30,13 @@ from .distributions import (
     _limit_quantile,
     _linear_knots,
     _quantile_pair,
+    _standard_form,
     _upper_quantile,
     quantile,
 )
-from .errors import ConvergenceError, NumericalError
+from .errors import ConvergenceError, NumericalError, SingularityError
 from .risk_aversion import (
     WeightSpec,
-    _limit_weight,
     _log_tail_probability,
     _mass_integral,
     weight,
@@ -87,8 +87,8 @@ class QuadratureConfig:
             raise ValueError("n_points must be odd and at least 3")
         if self.endpoint_policy not in _ENDPOINT_POLICIES:
             raise ValueError(f"unknown endpoint policy {self.endpoint_policy!r}")
-        if not 0.0 < self.epsilon < 0.5:
-            raise ValueError("epsilon must lie in (0, 0.5)")
+        if not 2.0**-54 < self.epsilon < 0.5:
+            raise ValueError("epsilon must lie in (2**-54, 0.5), where 1 - epsilon stays below 1")
         if self.scheme not in _SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if not self.rel_tol > 0.0:
@@ -103,9 +103,9 @@ class QuadratureResult:
     estimated_error is None.  For the converged scheme endpoint_policy
     reads open_interval, and estimated_error bounds the float rounding of
     the closed form on a piecewise-linear source (n_points knots) or is
-    the difference between the last two tanh-sinh levels on a normal
-    source (n_points quantile evaluations), which overstates the error of
-    the finer level.
+    sd times the difference between the last two tanh-sinh levels on the
+    standard normal, which overstates the error of the finer level, plus
+    the rounding of mean + sd times it (n_points quantile evaluations).
     """
 
     value: float
@@ -183,8 +183,12 @@ def simpson_composite(f, lo: float, hi: float, n_points: int) -> float:
 
 def _endpoint_integrand(source: QuantileSource, spec: WeightSpec, p: float) -> float:
     """Endpoint integrand under zero_endpoints: the limiting value of
-    phi(p) q(p) where that limit is finite, else 0."""
-    v = _limit_weight(spec, p) * _limit_quantile(source, p)
+    phi(p) q(p) where that limit is finite, else 0, as where the weight
+    diverges (the power family at p = 1)."""
+    try:
+        v = weight(spec, p) * _limit_quantile(source, p)
+    except SingularityError:
+        return 0.0
     return v if math.isfinite(v) else 0.0
 
 
@@ -224,7 +228,7 @@ def srm_replication(
     )
 
 
-def _tanh_sinh(f, rel_tol: float, max_levels: int = 8) -> tuple[float, float, int]:
+def _tanh_sinh(f, rel_tol: float, loc=0.0, scale=1.0, max_levels: int = 8) -> tuple[float, float, int]:
     """Integrate f over (0, 1) by the tanh-sinh rule (Takahasi & Mori 1974).
 
     The node x = 1 / (1 + exp(-pi sinh s)) crowds the nodes double
@@ -232,7 +236,9 @@ def _tanh_sinh(f, rel_tol: float, max_levels: int = 8) -> tuple[float, float, in
     singularities of logarithmic type.  Each level halves the step in s
     and evaluates only the new nodes, in one call of f on an array.  The
     rule stops once two successive levels differ by at most rel_tol times
-    the integral of |f|, and returns (value, that difference, evaluations).
+    the integral of |f|.  It returns, and a ConvergenceError carries, loc +
+    scale times the integral and scale times that difference plus the
+    rounding of the shift; the return also counts the evaluations.
     Nodes that round to 1 are dropped: for an integrand in weight-mass
     space they hold less than 2**-53 of the mass, which the rounding floor
     of the difference covers.
@@ -258,10 +264,16 @@ def _tanh_sinh(f, rel_tol: float, max_levels: int = 8) -> tuple[float, float, in
         if level:
             err = max(abs(value - prev), _ROUNDING * abs_value)
             # the first two levels are too coarse to agree by anything but luck
-            if level >= 2 and err <= rel_tol * abs_value:
-                return value, err, evals
+            done = level >= 2 and err <= rel_tol * abs_value
+            if done:
+                break
         h *= 0.5
         s = h * np.arange(1.0 - _TS_SPAN / h, _TS_SPAN / h, 2.0)
+    value, err = loc + scale * value, scale * err + _EPS * (abs(loc) + abs(scale * value))
+    if not math.isfinite(value):
+        raise NumericalError(f"spectral risk measure overflows: {value!r}")
+    if done:
+        return value, err, evals
     raise ConvergenceError(
         f"tanh-sinh rule did not converge after {max_levels} levels "
         f"(best estimate {value!r}, estimated remaining error {err!r})",
@@ -312,20 +324,24 @@ def srm_converged(
     A piecewise-linear source (empirical, uniform, constant) takes the
     exact closed form in the integrated weight mass: n_points is its
     number of knots, and estimated_error bounds the float rounding, which
-    must lie within rel_tol times the largest |x_k|.  A normal source is
-    integrated over the remaining weight mass w, as the quantile at the
-    upper-tail probability t(w) that holds it, by a tanh-sinh rule:
-    n_points counts quantile evaluations, and estimated_error is the
-    difference between the last two levels, which must lie within rel_tol
-    times the integral of |q|.  Raises ConvergenceError, carrying the best
-    estimate and its bound, when rel_tol is below what either can certify.
+    must lie within rel_tol times the largest |x_k|.  Every weight
+    integrates to one, so normal(mean, sd) gives mean + sd times the
+    measure of the standard normal, which is integrated over the remaining
+    weight mass w, as the quantile at the upper-tail probability t(w) that
+    holds it, by a tanh-sinh rule: n_points counts quantile evaluations,
+    and estimated_error is sd times the difference between the last two
+    levels, which must lie within rel_tol times sd times the integral of
+    |z|, plus the rounding of mean + sd times the value.  Raises
+    ConvergenceError, carrying the best estimate and its bound in the
+    source's units, when rel_tol is below what either can certify.
     """
     if not rel_tol > 0.0:
         raise ValueError("rel_tol must be positive")
+    loc, scale, source = _standard_form(source)
     x = _linear_knots(source)
     if x is None:
         value, err, evals = _tanh_sinh(
-            lambda w: _upper_quantile(source, _log_tail_probability(spec, w)), rel_tol
+            lambda w: _upper_quantile(source, _log_tail_probability(spec, w)), rel_tol, loc, scale
         )
     else:
         value, err = _closed_form(x, spec, rel_tol)

@@ -162,14 +162,6 @@ def weight(spec: WeightSpec, p):
     return out
 
 
-def _limit_weight(spec: WeightSpec, p: float) -> float:
-    """The weight at a scalar p, or its limit, inf, where the power family
-    diverges at p = 1."""
-    if spec.family == "power" and p == 1.0:
-        return math.inf
-    return weight(spec, p)
-
-
 def weight_mass(spec: WeightSpec, p):
     """Cumulative weight on [0, p]: the integral of the weight up to p."""
     arr = np.asarray(p, dtype=float)
@@ -350,6 +342,11 @@ def _eval_grid(fn, ps: np.ndarray) -> np.ndarray:
     return out
 
 
+# the admissibility integral's panels, and its check grid, end at p = 1 - 2**-k
+# for k <= _DYADIC_DEPTH; below width 2**-39 a 65-point panel loses distinct nodes
+_DYADIC_DEPTH = 39
+
+
 def _panel_simpson(fn, lo: float, hi: float, n: int = 65) -> float:
     xs = np.linspace(lo, hi, n)
     ys = _eval_grid(fn, xs)
@@ -360,12 +357,7 @@ def _panel_simpson(fn, lo: float, hi: float, n: int = 65) -> float:
     return float(coef @ ys) * h / 3.0
 
 
-def _adaptive_panel(fn, lo: float, hi: float, tol: float, depth: int = 48) -> float:
-    whole = _panel_simpson(fn, lo, hi)
-    return _refine_panel(fn, lo, hi, whole, tol, depth)
-
-
-def _refine_panel(fn, lo, hi, whole, tol, depth):
+def _refine_panel(fn, lo, hi, whole, tol, depth=48):
     mid = 0.5 * (lo + hi)
     left = _panel_simpson(fn, lo, mid)
     right = _panel_simpson(fn, mid, hi)
@@ -383,55 +375,46 @@ def _refine_panel(fn, lo, hi, whole, tol, depth):
 def _weight_integral(fn, tol: float = 1e-14) -> float:
     """Integrate a candidate weight over [0, 1].
 
-    The panel widths halve geometrically toward p = 1 so that integrable
-    singularities there (the power family for small c) stay outside every
-    evaluated panel.  The march stops while panels are still wide enough
-    to integrate reliably; the remaining tail is completed as a geometric
-    sum with the decay ratio measured across a window of panels.  That
-    completion is exact for a power-law tail, which is the singular case,
-    and the window keeps the 1 / (1 - ratio) amplification of panel noise
-    in check when the decay is slow.
+    Panel k spans [1 - 2**(1 - k), 1 - 2**-k], so the widths halve toward
+    p = 1 and integrable singularities there (the power family for small
+    c) stay outside every evaluated panel.  The march ends at k =
+    _DYADIC_DEPTH; the tail beyond is completed as a geometric sum with
+    the ratio of the last two panels.  That completion is exact for a
+    power-law tail, which is the singular case, and for a weight that is
+    flat near p = 1, as a steep exponential is on the scale of the last
+    panels.
     """
-    total = _adaptive_panel(fn, 0.0, 0.5, tol)
-    left = 0.5
-    width = 0.25
-    window = []
-    rest = 0.0
-    # below this width the 65-point panel grid starts losing distinct nodes
-    while width > 1e-12:
-        right = left + width
-        part = _adaptive_panel(fn, left, right, tol)
+    total = part = rest = 0.0
+    for k in range(1, _DYADIC_DEPTH + 1):
+        lo, hi = 1.0 - 2.0 ** (1 - k), 1.0 - 2.0**-k
+        prev, part = part, _refine_panel(fn, lo, hi, _panel_simpson(fn, lo, hi), tol)
         total += part
         if not math.isfinite(total):
             return total
+        ratio = part / prev if prev != 0.0 else 0.0
         rest = 0.0
-        window.append(part)
-        if len(window) > 17:
-            window.pop(0)
-        if len(window) >= 2 and window[0] != 0.0:
-            m = len(window) - 1
-            ratio_m = window[-1] / window[0]
-            if 0.0 < ratio_m < 1.0:
-                ratio = ratio_m ** (1.0 / m)
-                rest = window[-1] * ratio / (1.0 - ratio)
-                if abs(rest) < 1e-9:
-                    break
-        left = right
-        width *= 0.5
+        if 0.0 < ratio < 1.0:
+            rest = part * ratio / (1.0 - ratio)
+            if abs(rest) < 1e-9:
+                break
     return total + rest
 
 
 def check_admissibility(candidate, grid_size: int = 1001) -> AdmissibilityReport:
     """Check a WeightSpec or callable against the admissibility conditions.
 
-    Positivity and increasingness are checked on grid_size points strictly
-    inside (0, 1); normalisation integrates the candidate over [0, 1].
-    Non-finite values show up as failed checks, never as exceptions.
+    Positivity, increasingness and the strict rise are checked on grid_size
+    uniform points strictly inside (0, 1) and, beyond them, the ends
+    1 - 2**-k of the integral's panels, up to 2**-39 from p = 1, so a weight
+    held close to p = 1 still shows its rise.  Normalisation integrates the
+    candidate over [0, 1]; non-finite values fail checks, never raise.
     """
     if grid_size < 3:
         raise ValueError("grid_size must be at least 3")
     fn = _as_weight_fn(candidate)
     ps = np.linspace(0.0, 1.0, grid_size + 2)[1:-1]
+    dyadic = 1.0 - 2.0 ** -np.arange(1.0, _DYADIC_DEPTH + 1)
+    ps = np.concatenate((ps, dyadic[dyadic > ps[-1]]))
     vals = _eval_grid(fn, ps)
 
     finite = np.isfinite(vals)

@@ -125,12 +125,33 @@ def test_library_errors_reach_stderr_verbatim(capsys):
         (["--family", "flat", "--n", "10"], "error: n_points must be odd and at least 3\n"),
         (["--family", "flat", "--dist", "uniform", "--lo", "2", "--hi", "1"],
          "error: uniform support needs lo < hi\n"),
+        (["--family", "power", "--c", "0.5", "--endpoint-policy", "clip-epsilon",
+          "--epsilon", "1e-300", "--n", "1001"],
+         "error: epsilon must lie in (2**-54, 0.5), where 1 - epsilon stays below 1\n"),
     ]
     for extra, message in cases:
         code, out, err = run(base + extra, capsys)
         assert code == 1, extra
         assert out == "", extra
         assert err == message, extra
+
+
+def test_size_rules_are_the_librarys(tmp_path, capsys):
+    out = str(tmp_path / "x.csv")
+    cases = [
+        (["weights", "--family", "flat", "--points", "1", "--out", out],
+         "error: n_points must be at least 2\n"),
+        (["validate", "--family", "flat", "--grid-size", "2"],
+         "error: grid_size must be at least 3\n"),
+        (["convergence", "--family", "flat", "--n-list", ",", "--out", out],
+         "error: n_list must not be empty\n"),
+    ]
+    for argv, message in cases:
+        code, stdout, err = run(argv, capsys)
+        assert code == 1, argv
+        assert stdout == "", argv
+        assert err == message, argv
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_non_finite_parameters_are_usage_errors(capsys):

@@ -1,6 +1,7 @@
 """Quadrature engines: replication grid, converged refinement, Monte Carlo."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -106,6 +107,11 @@ def test_quadrature_config_validation():
         QuadratureConfig(endpoint_policy="reflect")
     with pytest.raises(ValueError, match="epsilon"):
         QuadratureConfig(epsilon=0.5)
+    # at or below 2**-54 the clip point 1 - epsilon rounds to 1
+    for epsilon in (2.0**-54, 1e-300):
+        with pytest.raises(ValueError, match="epsilon"):
+            QuadratureConfig(epsilon=epsilon)
+    assert QuadratureConfig(epsilon=2.0**-53).epsilon == 2.0**-53
     with pytest.raises(ValueError, match="scheme"):
         QuadratureConfig(scheme="magic")
     with pytest.raises(ValueError, match="rel_tol"):
@@ -233,13 +239,59 @@ def test_converged_resolves_tails_a_double_cannot_hold(c, ref, rel_tol):
     assert result.estimated_error <= rel_tol * ref
 
 
-def test_converged_fails_loudly_where_a_deep_tail_quantile_overflows():
+def test_converged_integrates_the_standard_normal_where_a_deep_tail_quantile_overflows():
     # at c = 0.05 the outermost tanh-sinh node has z = 58, and 58 sd
-    # overflows a double at sd = 4e306
-    with pytest.raises(NumericalError, match="not finite"):
-        srm_converged(normal(0.0, 4e306), WeightSpec.power(0.05), rel_tol=1e-6)
+    # overflows a double at sd = 4e306; in standard units it does not
+    got = srm_converged(normal(0.0, 4e306), WeightSpec.power(0.05), rel_tol=1e-6)
+    assert got.value == pytest.approx(4e306 * 5.034351983089521, rel=1e-12)
     got = srm_converged(normal(0.0, 1e306), WeightSpec.power(0.05), rel_tol=1e-6)
     assert got.value == pytest.approx(1e306 * 5.034351983089521, rel=1e-12)
+    # a measure beyond the float range still fails loudly
+    with pytest.raises(NumericalError, match="overflows"):
+        srm_converged(normal(0.0, 4.6e306), WeightSpec.power(0.001), rel_tol=1e-6)
+
+
+@pytest.mark.parametrize("mean,sd", [(50.0, 0.5), (-3.0, 2.0)])
+def test_converged_normal_is_the_rescaled_standard_normal(mean, sd):
+    spec = WeightSpec.exponential(a=5.0)
+    std = srm_converged(standard_normal(), spec, rel_tol=1e-10)
+    got = srm_converged(normal(mean, sd), spec, rel_tol=1e-10)
+    assert std.n_points == 115
+    assert got.n_points == std.n_points
+    assert got.value == mean + sd * std.value
+    # the bound scales with sd, plus the rounding of mean + sd * value
+    assert sd * std.estimated_error < got.estimated_error
+    assert got.estimated_error <= sd * std.estimated_error + 2**-51 * (abs(mean) + sd * std.value)
+
+
+def _distance_to_rescaled(value, mean, sd, std):
+    """|value - (mean + sd * std.value)| without rounding."""
+    return float(abs(Fraction(value) - Fraction(mean) - Fraction(sd) * Fraction(std.value)))
+
+
+def test_converged_bound_covers_the_rounding_of_a_large_mean():
+    # half an ulp of 1e10 is about 1e-6, far above sd times the level
+    # difference on the standard normal
+    spec = WeightSpec.exponential(a=5.0)
+    std = srm_converged(standard_normal(), spec, rel_tol=1e-12)
+    for mean in (1e10, 7e9, 123456789.0):
+        got = srm_converged(normal(mean, 1e-6), spec, rel_tol=1e-6)
+        assert _distance_to_rescaled(got.value, mean, 1e-6, std) <= (
+            got.estimated_error + 1e-6 * std.estimated_error
+        )
+
+
+def test_unattainable_tolerance_reports_in_the_units_of_the_source():
+    spec = WeightSpec.exponential(a=5.0)
+    std = srm_converged(standard_normal(), spec, rel_tol=1e-12)
+    with pytest.raises(ConvergenceError, match="did not converge") as exc_info:
+        srm_converged(normal(50.0, 0.5), spec, rel_tol=1e-20)
+    err = exc_info.value
+    assert 0.0 < err.error_bound < math.inf
+    assert _distance_to_rescaled(err.best_estimate, 50.0, 0.5, std) <= (
+        err.error_bound + 0.5 * std.estimated_error
+    )
+    assert repr(err.best_estimate) in str(err)
 
 
 def test_converged_handles_bounded_sources_exactly():

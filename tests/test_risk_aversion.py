@@ -1,5 +1,6 @@
 """Weight families, risk aversion coefficients, and admissibility checks."""
 
+import json
 import math
 
 import numpy as np
@@ -18,6 +19,7 @@ from spectral_risk import (
     weight,
     weight_mass,
 )
+from spectral_risk.cli import main
 
 
 def test_weight_spec_param_validation():
@@ -234,6 +236,8 @@ def test_utilities_are_increasing_and_concave():
 @pytest.mark.parametrize("spec", [
     WeightSpec.exponential(a=1.0),
     WeightSpec.exponential(a=100.0),
+    WeightSpec.power(0.001),
+    WeightSpec.power(0.01),
     WeightSpec.power(0.1),
     WeightSpec.power(0.9),
 ])
@@ -245,6 +249,19 @@ def test_standard_families_are_admissible(spec):
     assert report.increasingness
     assert report.strict_rise
     assert report.admissible
+
+
+@pytest.mark.parametrize("a", [1e6, 1e7, 1e8])
+def test_steep_exponential_weights_are_admissible(a, capsys):
+    # on the uniform grid these weights underflow to 0 everywhere; the
+    # dyadic check points near p = 1 show their rise
+    report = check_admissibility(WeightSpec.exponential(a=a))
+    assert report.admissible
+    assert abs(report.normalisation_integral - 1.0) <= 1e-6
+    assert main(["validate", "--family", "exponential", "--a", str(a)]) == 0
+    cli_report = json.loads(capsys.readouterr().out)
+    assert cli_report["admissible"] is True
+    assert abs(cli_report["normalisation_integral"] - 1.0) <= 1e-6
 
 
 def test_es_weight_is_admissible_despite_the_jump():
