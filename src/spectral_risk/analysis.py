@@ -10,7 +10,7 @@ how value at risk breaks that rule.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -65,12 +65,7 @@ class SubadditivityReport:
     seed: int
 
     def to_dict(self) -> dict:
-        return {
-            "trials": self.trials,
-            "violations": self.violations,
-            "worst_gap": self.worst_gap,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 def sweep_srm(family: str, param_grid, source: QuantileSource,
@@ -194,13 +189,7 @@ def var_subadditivity_counterexample(alpha: float = 0.95, loss: float = 10.0,
     if k == 0 or k == n:
         raise ValueError("tail_prob too extreme for the sample resolution")
     marginal = np.concatenate([np.zeros(n - k), np.full(k, float(loss))])
-    joint = np.concatenate(
-        [
-            np.zeros((n - k) * (n - k)),
-            np.full(2 * k * (n - k), float(loss)),
-            np.full(k * k, 2.0 * float(loss)),
-        ]
-    )
+    joint = np.add.outer(marginal, marginal).ravel()
     var_a = var(load_empirical(marginal), alpha)
     var_b = var_a
     var_sum = var(load_empirical(joint), alpha)

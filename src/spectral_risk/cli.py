@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import inspect
 import json
 import sys
 from pathlib import Path
@@ -29,13 +30,9 @@ from .risk_aversion import _PARAMETER, WeightSpec, check_admissibility
 __all__ = ["main", "build_parser"]
 
 
-class _CliError(Exception):
-    """Usage-level problem; maps to exit code 1."""
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise _CliError(message)
+        raise ValueError(message)
 
 
 def _add_source_args(sp):
@@ -67,7 +64,8 @@ def _add_quad_args(sp, base: QuadratureConfig, grid: bool = True):
     if grid:
         sp.add_argument("--n", dest="n_points", metavar="N", type=int,
                         help=f"odd replication grid size (default {base.n_points:,})")
-        sp.add_argument("--scheme", choices=["replication", "converged"])
+        sp.add_argument("--scheme", choices=["replication", "converged"],
+                        help=f"quadrature scheme (default {base.scheme})")
     sp.add_argument("--endpoint-policy", choices=["zero-endpoints", "clip-epsilon"])
     sp.add_argument("--epsilon", type=float,
                     help=f"clip width for clip-epsilon (default {base.epsilon:g})")
@@ -75,11 +73,27 @@ def _add_quad_args(sp, base: QuadratureConfig, grid: bool = True):
                     help=f"relative tolerance for the converged scheme (default {base.rel_tol:g})")
 
 
+def _add_library_arg(sp, flag: str, fn, name: str, what: str):
+    """A flag for fn's keyword argument name.  It stays out of args unless
+    given, so fn keeps its own default, which the help names."""
+    default = inspect.signature(fn).parameters[name].default
+    sp.add_argument(flag, dest=name, type=type(default), default=argparse.SUPPRESS,
+                    help=f"{what} (default {default:g})")
+
+
+def _given(args, *names) -> dict:
+    """The library arguments among names that were given on the command line."""
+    return {name: getattr(args, name) for name in names if hasattr(args, name)}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="srm", description="Spectral risk measure toolkit")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    sp = sub.add_parser("compute", help="compute one risk measure")
+    es_base = measures._ES_CONFIG
+    sp = sub.add_parser("compute", help="compute one risk measure",
+                        description=f"--measure es starts from --scheme {es_base.scheme} "
+                                    f"and --rel-tol {es_base.rel_tol:g}")
     sp.add_argument("--measure", required=True, choices=["var", "es", "srm"])
     _add_source_args(sp)
     _add_weight_args(sp)
@@ -96,13 +110,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("weights", help="export weight function samples")
     _add_weight_args(sp)
-    sp.add_argument("--points", type=int, default=1001, help="samples on [0, p-max] (default 1001)")
-    sp.add_argument("--p-max", type=float, default=0.999, help="last probability sampled (default 0.999)")
+    _add_library_arg(sp, "--points", analysis.weight_curve, "n_points", "samples on [0, p-max]")
+    _add_library_arg(sp, "--p-max", analysis.weight_curve, "p_max", "last probability sampled")
     sp.add_argument("--out", required=True, help="CSV output path (p,weight)")
 
     sp = sub.add_parser("validate", help="check a weight function for admissibility")
     _add_weight_args(sp)
-    sp.add_argument("--grid-size", type=int, default=2001, help="interior check points (default 2001)")
+    _add_library_arg(sp, "--grid-size", check_admissibility, "grid_size", "interior check points")
     sp.add_argument("--out", help="write the JSON report here instead of stdout")
 
     sp = sub.add_parser("convergence", help="replication values by grid size, against the converged value")
@@ -114,9 +128,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("subadd", help="stress subadditivity on random sample pairs")
     _add_weight_args(sp)
-    sp.add_argument("--trials", type=int, default=1000)
-    sp.add_argument("--sample-size", type=int, default=500)
-    sp.add_argument("--seed", type=int, default=0)
+    _add_library_arg(sp, "--trials", analysis.subadditivity_check, "trials", "sample pairs drawn")
+    _add_library_arg(sp, "--sample-size", analysis.subadditivity_check, "sample_size",
+                     "losses per sample")
+    _add_library_arg(sp, "--seed", analysis.subadditivity_check, "seed", "random seed")
     sp.add_argument("--n", dest="n_points", metavar="N", type=int,
                     help=f"replication grid size per evaluation (default {analysis._LIGHT_CONFIG.n_points:,})")
     sp.add_argument("--out", help="write the JSON report here instead of stdout")
@@ -128,15 +143,15 @@ def _make_source(args):
     kind = args.dist
     if kind == "empirical":
         if not args.input:
-            raise _CliError("--dist empirical needs --input")
+            raise ValueError("--dist empirical needs --input")
         return read_loss_csv(args.input)
     if kind == "constant":
         if args.value is None:
-            raise _CliError("--dist constant needs --value")
+            raise ValueError("--dist constant needs --value")
         return constant(args.value)
     if kind == "uniform":
         if args.lo is None or args.hi is None:
-            raise _CliError("--dist uniform needs --lo and --hi")
+            raise ValueError("--dist uniform needs --lo and --hi")
         return uniform(args.lo, args.hi)
     if kind == "normal":
         return normal(args.mean, args.sd)
@@ -146,22 +161,19 @@ def _make_source(args):
 def _make_spec(args) -> WeightSpec:
     family = args.family
     if family is None:
-        raise _CliError("--family is required")
+        raise ValueError("--family is required")
     if family == "exponential":
         return WeightSpec.exponential(a=args.a, gamma=args.gamma)
     key = _PARAMETER[family]
     if key is None:
         return WeightSpec(family)
     if getattr(args, key) is None:
-        raise _CliError(f"--family {family} needs --{key}")
+        raise ValueError(f"--family {family} needs --{key}")
     return WeightSpec(family, **{key: getattr(args, key)})
 
 
-def _make_config(args, base: QuadratureConfig | None) -> QuadratureConfig | None:
-    """base with each quadrature flag given on the command line in its
-    place.  A None base stands for the library call's own default: it
-    stays None when no flag is given, and flags start from
-    QuadratureConfig()."""
+def _make_config(args, base: QuadratureConfig) -> QuadratureConfig:
+    """base with each quadrature flag given on the command line in its place."""
     given = {
         field.name: getattr(args, field.name)
         for field in dataclasses.fields(QuadratureConfig)
@@ -169,9 +181,7 @@ def _make_config(args, base: QuadratureConfig | None) -> QuadratureConfig | None
     }
     if "endpoint_policy" in given:
         given["endpoint_policy"] = given["endpoint_policy"].replace("-", "_")
-    if base is None and not given:
-        return None
-    return dataclasses.replace(base or QuadratureConfig(), **given)
+    return dataclasses.replace(base, **given)
 
 
 def _emit_json(payload: dict, out) -> int:
@@ -186,16 +196,16 @@ def _emit_json(payload: dict, out) -> int:
 
 def _cmd_compute(args) -> int:
     if args.precision < 0:
-        raise _CliError("--precision must be non-negative")
+        raise ValueError("--precision must be non-negative")
     source = _make_source(args)
     if args.measure == "srm":
-        value = measures.srm(source, _make_spec(args), _make_config(args, None))
+        value = measures.srm(source, _make_spec(args), _make_config(args, QuadratureConfig()))
     elif args.alpha is None:
-        raise _CliError(f"--measure {args.measure} needs --alpha")
+        raise ValueError(f"--measure {args.measure} needs --alpha")
     elif args.measure == "var":
         value = measures.var(source, args.alpha)
     else:
-        value = measures.es(source, args.alpha, _make_config(args, None))
+        value = measures.es(source, args.alpha, _make_config(args, measures._ES_CONFIG))
     print(f"{value:.{args.precision}f}")
     return 0
 
@@ -203,22 +213,16 @@ def _cmd_compute(args) -> int:
 def _parse_grid(text: str, log_grid: bool) -> list[float]:
     parts = text.split(":")
     if len(parts) != 3:
-        raise _CliError("--grid must look like min:max:count")
+        raise ValueError("--grid must look like min:max:count")
     try:
         lo = float(parts[0])
         hi = float(parts[1])
         count = int(parts[2])
     except ValueError:
-        raise _CliError(f"bad --grid value: {text!r}") from None
-    if count < 1:
-        raise _CliError("--grid count must be at least 1")
-    if count == 1:
-        return [lo]
-    if not lo < hi:
-        raise _CliError("--grid needs min < max")
+        raise ValueError(f"bad --grid value: {text!r}") from None
     if log_grid:
-        if not lo > 0.0:
-            raise _CliError("--log-grid needs min > 0")
+        if not (lo > 0.0 and hi > 0.0):
+            raise ValueError("--log-grid needs min > 0 and max > 0")
         return [float(x) for x in np.geomspace(lo, hi, count)]
     return [float(x) for x in np.linspace(lo, hi, count)]
 
@@ -235,7 +239,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_weights(args) -> int:
     spec = _make_spec(args)
-    rows = analysis.weight_curve(spec, n_points=args.points, p_max=args.p_max)
+    rows = analysis.weight_curve(spec, **_given(args, "n_points", "p_max"))
     analysis.curve_to_csv(rows, args.out)
     print(args.out)
     return 0
@@ -243,7 +247,7 @@ def _cmd_weights(args) -> int:
 
 def _cmd_validate(args) -> int:
     spec = _make_spec(args)
-    report = check_admissibility(spec, grid_size=args.grid_size)
+    report = check_admissibility(spec, **_given(args, "grid_size"))
     return _emit_json(report.to_dict(), args.out)
 
 
@@ -251,7 +255,7 @@ def _parse_n_list(text: str) -> list[int]:
     try:
         return [int(part) for part in text.split(",") if part.strip()]
     except ValueError:
-        raise _CliError(f"bad --n-list value: {text!r}") from None
+        raise ValueError(f"bad --n-list value: {text!r}") from None
 
 
 def _cmd_convergence(args) -> int:
@@ -259,7 +263,7 @@ def _cmd_convergence(args) -> int:
     source = _make_source(args)
     ns = _parse_n_list(args.n_list)
     config = _make_config(args, QuadratureConfig())
-    rows = convergence_study(source, spec, ns, config.endpoint_policy, config.epsilon)
+    rows = convergence_study(source, spec, ns, config)
     analysis.convergence_to_csv(rows, args.out)
     converged = srm_converged(source, spec, rel_tol=config.rel_tol)
     gap = rows[-1][1] - converged.value
@@ -273,10 +277,8 @@ def _cmd_subadd(args) -> int:
     spec = _make_spec(args)
     report = analysis.subadditivity_check(
         spec,
-        sample_size=args.sample_size,
-        trials=args.trials,
-        seed=args.seed,
         config=_make_config(args, analysis._LIGHT_CONFIG),
+        **_given(args, "sample_size", "trials", "seed"),
     )
     return _emit_json(report.to_dict(), args.out)
 
@@ -296,9 +298,6 @@ def main(argv=None) -> int:
         parser = build_parser()
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
-    except _CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except SystemExit as exc:
         # argparse --help exits through here
         code = exc.code

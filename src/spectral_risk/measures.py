@@ -16,6 +16,9 @@ from .risk_aversion import WeightSpec
 
 __all__ = ["var", "es", "srm", "exponential_srm", "power_srm", "lpm"]
 
+# expected shortfall's default: one certified value instead of a grid
+_ES_CONFIG = QuadratureConfig(scheme="converged", rel_tol=1e-9)
+
 
 def var(source: QuantileSource, alpha: float) -> float:
     """Value at risk: the loss quantile at confidence alpha."""
@@ -40,13 +43,11 @@ def srm(source: QuantileSource, spec: WeightSpec, config: QuadratureConfig | Non
 def es(source: QuantileSource, alpha: float, config: QuadratureConfig | None = None) -> float:
     """Expected shortfall at confidence alpha: the average loss beyond VaR.
 
-    Without a config this uses the converged scheme at rel_tol 1e-9, which
-    is exact up to rounding for piecewise-linear sources.
+    The config defaults to _ES_CONFIG, the converged scheme at a tighter
+    rel_tol than QuadratureConfig's, which is exact up to rounding for
+    piecewise-linear sources.  A config passed in is used as it is.
     """
-    spec = WeightSpec.es(alpha)
-    if config is None:
-        return srm_converged(source, spec, rel_tol=1e-9).value
-    return srm(source, spec, config)
+    return srm(source, WeightSpec.es(alpha), config or _ES_CONFIG)
 
 
 def exponential_srm(source: QuantileSource, a: float, config: QuadratureConfig | None = None) -> float:

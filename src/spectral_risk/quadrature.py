@@ -21,7 +21,7 @@ low where the weight holds mass beyond p = 1 - 1e-16.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -317,7 +317,7 @@ def _closed_form(x: np.ndarray, spec: WeightSpec, rel_tol: float) -> tuple[float
 
 
 def srm_converged(
-    source: QuantileSource, spec: WeightSpec, rel_tol: float = 1e-6
+    source: QuantileSource, spec: WeightSpec, rel_tol: float = QuadratureConfig.rel_tol
 ) -> QuadratureResult:
     """Spectral risk measure to a certified tolerance, chosen by source kind.
 
@@ -390,18 +390,16 @@ def srm_monte_carlo(
 
 
 def convergence_study(
-    source: QuantileSource,
-    spec: WeightSpec,
-    n_list,
-    endpoint_policy: str = "zero_endpoints",
-    epsilon: float = 1e-9,
+    source: QuantileSource, spec: WeightSpec, n_list, config: QuadratureConfig | None = None
 ) -> list[tuple[int, float]]:
-    """Replication values across grid sizes, for studying convergence."""
+    """Replication values across grid sizes, for studying convergence.
+
+    Each row is srm_replication under config (default QuadratureConfig())
+    with n_points replaced by that row's n, so the config's endpoint
+    policy and epsilon apply to every row.
+    """
     ns = [int(n) for n in n_list]
     if not ns:
         raise ValueError("n_list must not be empty")
-    rows = []
-    for n in ns:
-        config = QuadratureConfig(n_points=n, endpoint_policy=endpoint_policy, epsilon=epsilon)
-        rows.append((n, srm_replication(source, spec, config).value))
-    return rows
+    config = config or QuadratureConfig()
+    return [(n, srm_replication(source, spec, replace(config, n_points=n)).value) for n in ns]

@@ -108,7 +108,9 @@ def test_subadditivity_accepts_a_callable_measure():
     )
     assert report.trials == 12
     assert report.violations >= 0
-    assert report.to_dict()["violations"] == report.violations
+    assert report.to_dict() == {"trials": 12, "violations": report.violations,
+                                "worst_gap": report.worst_gap, "seed": 2}
+    assert list(report.to_dict()) == ["trials", "violations", "worst_gap", "seed"]
 
 
 def test_subadditivity_check_validation():

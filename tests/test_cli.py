@@ -1,5 +1,6 @@
 """Command line interface behaviour: outputs, defaults, exit codes."""
 
+import functools
 import json
 import math
 import shlex
@@ -8,12 +9,12 @@ from pathlib import Path
 
 import pytest
 
-from spectral_risk import measures
-from spectral_risk.analysis import subadditivity_check, sweep_srm
+from spectral_risk import analysis, measures
+from spectral_risk.analysis import SubadditivityReport, subadditivity_check, sweep_srm, weight_curve
 from spectral_risk.cli import main
 from spectral_risk.distributions import standard_normal
 from spectral_risk.quadrature import QuadratureConfig, convergence_study, srm_converged
-from spectral_risk.risk_aversion import WeightSpec
+from spectral_risk.risk_aversion import WeightSpec, check_admissibility
 
 
 def run(argv, capsys):
@@ -27,6 +28,18 @@ def test_compute_es_default_matches_the_documented_value(capsys):
     assert code == 0
     assert out == "2.062713\n"
     assert err == ""
+
+
+def test_es_flags_replace_fields_of_its_converged_default(capsys):
+    base = ["compute", "--measure", "es", "--alpha", "0.95", "--precision", "12"]
+    # a tighter tolerance keeps the converged scheme
+    code, out, _ = run(base + ["--rel-tol", "1e-12"], capsys)
+    assert (code, out) == (0, "2.062712807507\n")
+    # n_points is read only by the replication scheme
+    code, out, _ = run(base + ["--n", "1001"], capsys)
+    assert (code, out) == (0, "2.062712807507\n")
+    code, out, _ = run(base + ["--scheme", "replication", "--n", "1001"], capsys)
+    assert (code, out) == (0, "2.048474580543\n")
 
 
 def test_compute_var(capsys):
@@ -145,6 +158,8 @@ def test_size_rules_are_the_librarys(tmp_path, capsys):
          "error: grid_size must be at least 3\n"),
         (["convergence", "--family", "flat", "--n-list", ",", "--out", out],
          "error: n_list must not be empty\n"),
+        (["sweep", "--family", "exponential", "--grid", "5:1:3", "--out", out],
+         "error: param_grid must be strictly increasing\n"),
     ]
     for argv, message in cases:
         code, stdout, err = run(argv, capsys)
@@ -252,6 +267,17 @@ def test_sweep_without_n_uses_the_library_default_grid(tmp_path, capsys):
     assert [(float(p), float(v)) for p, v in rows] == expected.rows()
 
 
+def test_log_grid_needs_positive_ends(capsys):
+    for grid in ("0:5:3", "1:-5:3"):
+        argv = ["sweep", "--family", "exponential", "--grid", grid, "--log-grid", "--out", "x.csv"]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(argv, capsys)
+        assert code == 1, grid
+        assert err == "error: --log-grid needs min > 0 and max > 0\n", grid
+        assert not caught, grid
+
+
 def test_sweep_log_grid_spaces_parameters_geometrically(tmp_path, capsys):
     out = tmp_path / "logsweep.csv"
     argv = ["sweep", "--family", "exponential", "--grid", "0.5:8:3",
@@ -290,6 +316,20 @@ def test_validate_reports_admissibility_json(capsys):
     assert report["strict_rise"] is False
     assert report["admissible"] is False
     assert report["normalisation_integral"] == pytest.approx(1.0, abs=1e-9)
+
+
+def test_validate_and_weights_keep_the_library_defaults(tmp_path, capsys):
+    code, out, _ = run(["validate", "--family", "exponential", "--a", "5"], capsys)
+    assert code == 0
+    assert json.loads(out) == check_admissibility(WeightSpec.exponential(5.0)).to_dict()
+    assert json.loads(out)["grid_size"] == 1001
+
+    path = tmp_path / "curve.csv"
+    code, _, _ = run(["weights", "--family", "power", "--c", "0.7", "--out", str(path)], capsys)
+    assert code == 0
+    rows = [line.split(",") for line in path.read_text(encoding="utf-8").splitlines()[1:]]
+    expected = weight_curve(WeightSpec.power(0.7))
+    assert [(float(p), float(w)) for p, w in rows] == expected
 
 
 def test_validate_can_write_to_a_file(tmp_path, capsys):
@@ -334,7 +374,8 @@ def test_convergence_command_passes_its_tolerance_flags_on(tmp_path, capsys):
     code, stdout, _ = run(argv, capsys)
     assert code == 0
     source, spec = standard_normal(), WeightSpec.power(0.5)
-    expected = convergence_study(source, spec, [101, 1001], "clip_epsilon", 1e-6)
+    expected = convergence_study(source, spec, [101, 1001],
+                                 QuadratureConfig(endpoint_policy="clip_epsilon", epsilon=1e-6))
     assert expected != convergence_study(source, spec, [101, 1001])
     rows = [line.split(",") for line in out.read_text(encoding="utf-8").splitlines()[1:]]
     assert [(int(n), float(v)) for n, v in rows] == expected
@@ -381,6 +422,26 @@ def test_subadd_passes_n_on(capsys):
                                    config=QuadratureConfig(n_points=11))
     assert expected != subadditivity_check(spec, sample_size=20, trials=2)
     assert json.loads(out) == expected.to_dict()
+
+
+def test_subadd_defaults_are_the_librarys(monkeypatch, capsys):
+    seen = {}
+
+    @functools.wraps(analysis.subadditivity_check)  # the help reads its signature
+    def record(spec, **kwargs):
+        seen.update(kwargs)
+        return SubadditivityReport(trials=1, violations=0, worst_gap=-1.0, seed=0)
+
+    monkeypatch.setattr(analysis, "subadditivity_check", record)
+    code, _, _ = run(["subadd", "--family", "flat"], capsys)
+    assert code == 0
+    assert seen == {"config": analysis._LIGHT_CONFIG}
+
+    seen.clear()
+    argv = ["subadd", "--family", "flat", "--trials", "7", "--sample-size", "9", "--seed", "3"]
+    code, _, _ = run(argv, capsys)
+    assert code == 0
+    assert seen == {"config": analysis._LIGHT_CONFIG, "trials": 7, "sample_size": 9, "seed": 3}
 
 
 def test_subadd_can_write_to_a_file(tmp_path, capsys):

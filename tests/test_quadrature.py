@@ -478,6 +478,16 @@ def test_convergence_study_rises_toward_the_converged_value():
     assert abs(vals[2] - truth) < abs(vals[0] - truth)
 
 
+def test_convergence_study_rows_take_the_config_with_their_n():
+    src, spec = standard_normal(), WeightSpec.power(0.5)
+    config = QuadratureConfig(endpoint_policy="clip_epsilon", epsilon=1e-6)
+    rows = convergence_study(src, spec, [101, 1001], config)
+    expected = [(n, srm_replication(src, spec, QuadratureConfig(
+        n_points=n, endpoint_policy="clip_epsilon", epsilon=1e-6)).value) for n in (101, 1001)]
+    assert rows == expected
+    assert rows != convergence_study(src, spec, [101, 1001])
+
+
 def test_convergence_study_validates_input():
     with pytest.raises(ValueError, match="must not be empty"):
         convergence_study(standard_normal(), WeightSpec.flat(), [])
