@@ -218,6 +218,8 @@ def _parse_grid(text: str, log_grid: bool) -> list[float]:
         lo = float(parts[0])
         hi = float(parts[1])
         count = int(parts[2])
+        if count < 0:  # as malformed as a non-integer count
+            raise ValueError
     except ValueError:
         raise ValueError(f"bad --grid value: {text!r}") from None
     if log_grid:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -107,12 +107,7 @@ class WeightSpec:
         return cls(family="flat")
 
     def to_json(self) -> str:
-        payload = {"family": self.family}
-        for name in ("a", "c", "alpha"):
-            val = getattr(self, name)
-            if val is not None:
-                payload[name] = val
-        return json.dumps(payload)
+        return json.dumps({name: val for name, val in asdict(self).items() if val is not None})
 
     @classmethod
     def from_json(cls, text: str) -> "WeightSpec":
@@ -122,15 +117,10 @@ class WeightSpec:
             raise ValueError(f"bad weight spec JSON: {exc}") from exc
         if not isinstance(payload, dict) or "family" not in payload:
             raise ValueError("weight spec JSON must be an object with a 'family' key")
-        extra = set(payload) - {"family", "a", "c", "alpha"}
+        extra = set(payload) - {field.name for field in fields(cls)}
         if extra:
             raise ValueError(f"unknown weight spec keys: {sorted(extra)}")
-        return cls(
-            family=payload["family"],
-            a=payload.get("a"),
-            c=payload.get("c"),
-            alpha=payload.get("alpha"),
-        )
+        return cls(**payload)
 
 
 def _check_unit_interval(arr: np.ndarray):
@@ -154,7 +144,7 @@ def weight(spec: WeightSpec, p):
             raise SingularityError("power weight diverges at p = 1")
         out = spec.lambda_ * (1.0 - arr) ** (spec.c - 1.0)
     elif fam == "es":
-        out = np.where(arr >= spec.alpha, 1.0 / (1.0 - spec.alpha), 0.0)
+        out = np.where(arr >= spec.alpha, spec.lambda_, 0.0)
     else:
         out = np.ones_like(arr)
     if arr.ndim == 0:
@@ -316,14 +306,6 @@ class AdmissibilityReport:
         }
 
 
-def _as_weight_fn(candidate):
-    if isinstance(candidate, WeightSpec):
-        return lambda p: weight(candidate, p)
-    if callable(candidate):
-        return candidate
-    raise TypeError("candidate must be a WeightSpec or a callable of p")
-
-
 def _eval_grid(fn, ps: np.ndarray) -> np.ndarray:
     """Evaluate fn on ps, tolerating callables that only accept scalars or
     that blow up at individual points (those points come back as nan)."""
@@ -373,7 +355,7 @@ def _refine_panel(fn, lo, hi, whole, tol, depth=48):
 
 
 def _weight_integral(fn, tol: float = 1e-14) -> float:
-    """Integrate a candidate weight over [0, 1].
+    """Integrate a callable weight over [0, 1]; a WeightSpec's is closed form.
 
     Panel k spans [1 - 2**(1 - k), 1 - 2**-k], so the widths halve toward
     p = 1 and integrable singularities there (the power family for small
@@ -382,7 +364,8 @@ def _weight_integral(fn, tol: float = 1e-14) -> float:
     the ratio of the last two panels.  That completion is exact for a
     power-law tail, which is the singular case, and for a weight that is
     flat near p = 1, as a steep exponential is on the scale of the last
-    panels.
+    panels.  It carries no error bound: it reaches exponentials up to a of
+    about 1e8, and a steeper weight's mass lies beyond what it extrapolates.
     """
     total = part = rest = 0.0
     for k in range(1, _DYADIC_DEPTH + 1):
@@ -403,15 +386,23 @@ def _weight_integral(fn, tol: float = 1e-14) -> float:
 def check_admissibility(candidate, grid_size: int = 1001) -> AdmissibilityReport:
     """Check a WeightSpec or callable against the admissibility conditions.
 
-    Positivity, increasingness and the strict rise are checked on grid_size
-    uniform points strictly inside (0, 1) and, beyond them, the ends
-    1 - 2**-k of the integral's panels, up to 2**-39 from p = 1, so a weight
-    held close to p = 1 still shows its rise.  Normalisation integrates the
-    candidate over [0, 1]; non-finite values fail checks, never raise.
+    Positivity and increasingness are checked on grid_size uniform points
+    strictly inside (0, 1) and the points 1 - 2**-k beyond them, up to
+    2**-39 from p = 1; non-finite values fail checks, never raise.  A
+    WeightSpec's unit mass and strict rise are fixed by its construction:
+    every family is normalised, and every family but flat rises.  A
+    callable is integrated by _weight_integral, and its rise is read from
+    the grid.
     """
     if grid_size < 3:
         raise ValueError("grid_size must be at least 3")
-    fn = _as_weight_fn(candidate)
+    if isinstance(candidate, WeightSpec):
+        fn = lambda p: weight(candidate, p)
+        integral, spec_rise = 1.0, candidate.family != "flat"
+    elif callable(candidate):
+        fn, integral, spec_rise = candidate, _weight_integral(candidate), False
+    else:
+        raise TypeError("candidate must be a WeightSpec or a callable of p")
     ps = np.linspace(0.0, 1.0, grid_size + 2)[1:-1]
     dyadic = 1.0 - 2.0 ** -np.arange(1.0, _DYADIC_DEPTH + 1)
     ps = np.concatenate((ps, dyadic[dyadic > ps[-1]]))
@@ -429,14 +420,13 @@ def check_admissibility(candidate, grid_size: int = 1001) -> AdmissibilityReport
     rises = np.diff(vals)
     with np.errstate(invalid="ignore"):
         increasingness = bool(np.all(rises >= -1e-12))
-        strict_rise = bool(np.any(rises > 0.0))
+        strict_rise = spec_rise or bool(np.any(rises > 0.0))
     if np.all(np.isnan(rises)):
         j = 0
     else:
         j = int(np.nanargmin(rises))
     increasingness_worst = (float(ps[j]), float(ps[j + 1]), float(rises[j]))
 
-    integral = _weight_integral(fn)
     normalisation = bool(math.isfinite(integral) and abs(integral - 1.0) <= 1e-6)
 
     return AdmissibilityReport(

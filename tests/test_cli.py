@@ -169,6 +169,16 @@ def test_size_rules_are_the_librarys(tmp_path, capsys):
     assert not (tmp_path / "x.csv").exists()
 
 
+def test_negative_grid_count_is_a_bad_grid_value(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    argv = ["sweep", "--family", "exponential", "--grid", "1:5:-1", "--out", str(out)]
+    code, stdout, err = run(argv, capsys)
+    assert code == 1
+    assert stdout == ""
+    assert err == "error: bad --grid value: '1:5:-1'\n"
+    assert not out.exists()
+
+
 def test_non_finite_parameters_are_usage_errors(capsys):
     base = ["compute", "--measure", "srm", "--n", "1001"]
     cases = [

@@ -13,6 +13,7 @@ from spectral_risk import (
     WeightSpec,
     ara,
     check_admissibility,
+    risk_aversion,
     rra,
     utility_exponential,
     utility_power,
@@ -240,28 +241,68 @@ def test_utilities_are_increasing_and_concave():
     WeightSpec.power(0.01),
     WeightSpec.power(0.1),
     WeightSpec.power(0.9),
+    # es 1e-9 and es 1e-17 are constant on every check point, es 1 - 1e-13
+    # is 0 on all of them, and exponential 1e-17 rounds to the constant 1:
+    # the grid shows none of their rises, the family still rises
+    WeightSpec.es(1e-9),
+    WeightSpec.es(1e-17),
+    WeightSpec.es(1.0 - 1e-13),
+    WeightSpec.exponential(a=1e-17),
+    # its mass at p = 1/2 rounds to 1/2
+    WeightSpec.power(1.0 - 2.0**-53),
 ])
 def test_standard_families_are_admissible(spec):
     report = check_admissibility(spec)
     assert report.positivity
     assert report.normalisation
-    assert report.normalisation_integral == pytest.approx(1.0, abs=1e-6)
+    assert report.normalisation_integral == 1.0
     assert report.increasingness
     assert report.strict_rise
     assert report.admissible
 
 
-@pytest.mark.parametrize("a", [1e6, 1e7, 1e8])
+@pytest.mark.parametrize("a", [1e6, 1e7, 1e8, 1e9, 1e10, 1e300])
 def test_steep_exponential_weights_are_admissible(a, capsys):
-    # on the uniform grid these weights underflow to 0 everywhere; the
-    # dyadic check points near p = 1 show their rise
+    # on the uniform grid these weights underflow to 0 everywhere, and from
+    # a = 1e9 their mass lies beyond the last check point 1 - 2**-39
     report = check_admissibility(WeightSpec.exponential(a=a))
     assert report.admissible
-    assert abs(report.normalisation_integral - 1.0) <= 1e-6
+    assert report.normalisation_integral == 1.0
     assert main(["validate", "--family", "exponential", "--a", str(a)]) == 0
-    cli_report = json.loads(capsys.readouterr().out)
-    assert cli_report["admissible"] is True
-    assert abs(cli_report["normalisation_integral"] - 1.0) <= 1e-6
+    out = capsys.readouterr().out
+    assert '"admissible": true' in out
+    assert json.loads(out)["normalisation_integral"] == 1.0
+
+
+def test_a_spec_never_reaches_the_numerical_integral(monkeypatch):
+    def refuse(fn, tol=1e-14):
+        raise AssertionError("a WeightSpec's mass is known in closed form")
+
+    monkeypatch.setattr(risk_aversion, "_weight_integral", refuse)
+    for spec in (WeightSpec.exponential(a=5.0), WeightSpec.power(0.1),
+                 WeightSpec.es(0.95), WeightSpec.flat()):
+        assert check_admissibility(spec).normalisation_integral == 1.0
+    with pytest.raises(AssertionError, match="closed form"):
+        check_admissibility(lambda p: 2.0 * p)
+
+
+@pytest.mark.parametrize("spec", [
+    WeightSpec.exponential(a=1.0),
+    WeightSpec.exponential(a=100.0),
+    WeightSpec.exponential(a=1e6),
+    WeightSpec.exponential(a=1e8),
+    WeightSpec.power(0.001),
+    WeightSpec.power(0.01),
+    WeightSpec.power(0.1),
+    WeightSpec.power(0.9),
+    WeightSpec.es(0.95),
+])
+def test_callable_forms_of_the_families_integrate_to_one(spec):
+    # only callables take the dyadic march, so these drive it over the
+    # shapes the families have: steep, singular at p = 1, and a jump
+    report = check_admissibility(lambda p: weight(spec, p))
+    assert abs(report.normalisation_integral - 1.0) <= 1e-6
+    assert report.admissible
 
 
 def test_es_weight_is_admissible_despite_the_jump():
@@ -275,6 +316,7 @@ def test_flat_weight_fails_only_the_strict_rise_check():
     report = check_admissibility(WeightSpec.flat())
     assert report.positivity
     assert report.normalisation
+    assert report.normalisation_integral == 1.0
     assert report.increasingness
     assert not report.strict_rise
     assert not report.admissible
