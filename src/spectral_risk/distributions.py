@@ -8,6 +8,7 @@ quantile queries for probabilities strictly inside (0, 1).
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -29,6 +30,8 @@ __all__ = [
 ]
 
 _KINDS = ("normal", "empirical")
+# loss files are UTF-8; a leading byte-order mark, as Excel writes, is dropped
+_ENCODING = "utf-8-sig"
 # Above |ndtri(5e-324)| = 38.47: no probability a double can hold puts a
 # normal quantile further from the mean than this many sd.
 _DEEPEST_Z = 38.5
@@ -129,11 +132,46 @@ def load_empirical(records) -> QuantileSource:
 
 
 def read_loss_csv(path) -> QuantileSource:
-    """Read a loss file (one numeric loss per line, optional 'loss' header)."""
+    """Read a loss file: UTF-8, with or without a byte-order mark, one
+    numeric loss per line and an optional 'loss' header line.
+
+    numpy's C reader parses the body.  A body it refuses, or reads as
+    non-finite or empty, is parsed again line by line, which accepts what
+    Python's float accepts and names the offending line.
+    """
     try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+        with open(path, encoding=_ENCODING) as fh:
+            first = fh.readline()
+        # the header must be the whole first line as str.splitlines cuts it
+        header = [line.strip().lower() for line in first.splitlines()] == ["loss"]
+        losses = _loadtxt_column(path, int(header))
+        if losses is None:
+            losses = _parse_lines(path, Path(path).read_text(encoding=_ENCODING))
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
+    return load_empirical(losses)
+
+
+def _loadtxt_column(path, skiprows: int):
+    """The file's one column of finite losses after skiprows lines, read by
+    numpy's C reader, or None when it cannot vouch for them."""
+    try:
+        with warnings.catch_warnings():
+            # an empty body warns; the line parser reports it as a DataError
+            warnings.simplefilter("ignore", UserWarning)
+            values = np.loadtxt(path, dtype=np.float64, comments=None, delimiter=",",
+                                skiprows=skiprows, ndmin=2, encoding=_ENCODING)
+    except ValueError:
+        return None
+    # ndmin=2 keeps a single line "1,2" from reading as two rows
+    if values.shape[1] != 1 or values.size == 0 or not np.all(np.isfinite(values)):
+        return None
+    return values.ravel()
+
+
+def _parse_lines(path, text: str) -> list:
+    """Losses of a loss file's text, one per non-blank line after an
+    optional 'loss' header; raises a DataError naming the first bad line."""
     lines = text.splitlines()
     start = 1 if lines and lines[0].strip().lower() == "loss" else 0
     losses = []
@@ -150,7 +188,7 @@ def read_loss_csv(path) -> QuantileSource:
         losses.append(value)
     if not losses:
         raise DataError(f"{path}: no loss values found")
-    return load_empirical(losses)
+    return losses
 
 
 def _interpolate(samples: np.ndarray, p):

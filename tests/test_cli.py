@@ -242,6 +242,13 @@ def test_data_errors_exit_with_code_2(tmp_path, capsys):
     assert code == 2
     assert "float range" in err
 
+    cp1252 = tmp_path / "cp1252.csv"
+    cp1252.write_bytes("loss\n1.0\n2,5 \u20ac\n".encode("cp1252"))
+    argv[-1] = str(cp1252)
+    code, _, err = run(argv, capsys)
+    assert code == 2
+    assert f"cannot read {cp1252}" in err
+
 
 def test_numeric_failures_exit_with_code_3(capsys):
     # a tolerance below anything float arithmetic can certify

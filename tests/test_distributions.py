@@ -1,6 +1,7 @@
 """Inverse normal CDF accuracy and quantile source behaviour."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from spectral_risk import (
     standard_normal,
     uniform,
 )
+from spectral_risk.distributions import _loadtxt_column
 
 PROBES = [
     1e-300, 1e-100, 1e-20, 1e-12, 1e-9, 1e-6, 1e-4, 0.01, 0.1, 0.3, 0.5,
@@ -218,11 +220,62 @@ def test_read_loss_csv_rejects_non_finite_and_empty(tmp_path):
         read_loss_csv(path)
 
     empty = tmp_path / "empty.csv"
-    empty.write_text("loss\n\n", encoding="utf-8")
-    with pytest.raises(DataError, match="no loss values"):
-        read_loss_csv(empty)
+    for text in ("", "loss\n\n"):
+        empty.write_text(text, encoding="utf-8")
+        with warnings.catch_warnings():
+            # numpy's reader warns on an empty body; the warning must not escape
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match="no loss values"):
+                read_loss_csv(empty)
 
 
 def test_read_loss_csv_missing_file_is_a_data_error(tmp_path):
     with pytest.raises(DataError, match="cannot read"):
         read_loss_csv(tmp_path / "nope.csv")
+
+
+_LOSS_FORMATS = (repr, "{:.17g}".format, "{:e}".format)
+
+
+@given(
+    losses=st.lists(st.floats(-1e300, 1e300), min_size=1, max_size=30),
+    forms=st.lists(st.sampled_from(_LOSS_FORMATS), min_size=30, max_size=30),
+    blanks=st.lists(st.sampled_from(["", "", "  "]), max_size=30),
+    header=st.booleans(),
+    newline=st.sampled_from(["\n", "\r\n"]),
+    data=st.data(),
+)
+def test_read_loss_csv_returns_bitwise_what_float_reads_per_line(
+        tmp_path_factory, losses, forms, blanks, header, newline, data):
+    cells = [form(x) for form, x in zip(forms, losses)]
+    expected = np.sort(np.array([float(cell) for cell in cells]))
+    lines = data.draw(st.permutations(cells + blanks))
+    body = newline.join((["loss"] if header else []) + lines) + newline
+    path = tmp_path_factory.mktemp("losses") / "losses.csv"
+    path.write_bytes(body.encode("utf-8"))
+    assert read_loss_csv(path).samples.tobytes() == expected.tobytes()
+    if "  " not in blanks:
+        # numpy's reader vouches for the file without the per-line parser
+        assert np.sort(_loadtxt_column(path, int(header))).tobytes() == expected.tobytes()
+
+
+def test_read_loss_csv_takes_what_float_takes_and_names_the_line_it_refuses(tmp_path):
+    path = tmp_path / "losses.csv"
+    path.write_text("loss\n1_000\n2\n", encoding="utf-8")
+    assert list(read_loss_csv(path).samples) == [2.0, 1000.0]
+
+    # numpy reads a lone "1,2" line as one row of two columns
+    for text, lineno in (("1\n1,2\n", 2), ("1,2\n", 1)):
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(DataError, match=f"line {lineno}: not a number: '1,2'"):
+            read_loss_csv(path)
+
+
+def test_read_loss_csv_accepts_a_byte_order_mark(tmp_path):
+    path = tmp_path / "excel.csv"
+    path.write_bytes(b"\xef\xbb\xbfloss\r\n1\r\n2\r\n")
+    assert list(read_loss_csv(path).samples) == [1.0, 2.0]
+    path.write_bytes(b"\xef\xbb\xbf3\n1,5\n")
+    with pytest.raises(DataError, match="line 2"):
+        read_loss_csv(path)
+
