@@ -135,32 +135,32 @@ def read_loss_csv(path) -> QuantileSource:
     """Read a loss file: UTF-8, with or without a byte-order mark, one
     numeric loss per line and an optional 'loss' header line.
 
+    The file is read once, so a pipe or FIFO works as well as a file.
     numpy's C reader parses the body.  A body it refuses, or reads as
     non-finite or empty, is parsed again line by line, which accepts what
     Python's float accepts and names the offending line.
     """
     try:
-        with open(path, encoding=_ENCODING) as fh:
-            first = fh.readline()
-        # the header must be the whole first line as str.splitlines cuts it
-        header = [line.strip().lower() for line in first.splitlines()] == ["loss"]
-        losses = _loadtxt_column(path, int(header))
-        if losses is None:
-            losses = _parse_lines(path, Path(path).read_text(encoding=_ENCODING))
+        text = Path(path).read_text(encoding=_ENCODING)
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
+    lines = text.splitlines()
+    start = 1 if lines and lines[0].strip().lower() == "loss" else 0
+    losses = _loadtxt_column(lines, start)
+    if losses is None:
+        losses = _parse_lines(path, lines, start)
     return load_empirical(losses)
 
 
-def _loadtxt_column(path, skiprows: int):
-    """The file's one column of finite losses after skiprows lines, read by
-    numpy's C reader, or None when it cannot vouch for them."""
+def _loadtxt_column(lines: list, start: int):
+    """The one column of finite losses in lines[start:], read by numpy's C
+    reader, or None when it cannot vouch for them."""
     try:
         with warnings.catch_warnings():
             # an empty body warns; the line parser reports it as a DataError
             warnings.simplefilter("ignore", UserWarning)
-            values = np.loadtxt(path, dtype=np.float64, comments=None, delimiter=",",
-                                skiprows=skiprows, ndmin=2, encoding=_ENCODING)
+            values = np.loadtxt(lines, dtype=np.float64, comments=None, delimiter=",",
+                                skiprows=start, ndmin=2)
     except ValueError:
         return None
     # ndmin=2 keeps a single line "1,2" from reading as two rows
@@ -169,11 +169,9 @@ def _loadtxt_column(path, skiprows: int):
     return values.ravel()
 
 
-def _parse_lines(path, text: str) -> list:
-    """Losses of a loss file's text, one per non-blank line after an
-    optional 'loss' header; raises a DataError naming the first bad line."""
-    lines = text.splitlines()
-    start = 1 if lines and lines[0].strip().lower() == "loss" else 0
+def _parse_lines(path, lines: list, start: int) -> list:
+    """Losses in lines[start:], one per non-blank line; raises a DataError
+    naming the first bad line, numbered from 1 in the whole file."""
     losses = []
     for lineno, line in enumerate(lines[start:], start=start + 1):
         text_value = line.strip()
