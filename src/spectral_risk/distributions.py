@@ -8,7 +8,6 @@ quantile queries for probabilities strictly inside (0, 1).
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -135,10 +134,10 @@ def read_loss_csv(path) -> QuantileSource:
     """Read a loss file: UTF-8, with or without a byte-order mark, one
     numeric loss per line and an optional 'loss' header line.
 
-    The file is read once, so a pipe or FIFO works as well as a file.
-    numpy's C reader parses the body.  A body it refuses, or reads as
-    non-finite or empty, is parsed again line by line, which accepts what
-    Python's float accepts and names the offending line.
+    The file is read once, so a pipe or FIFO works as well as a file.  Every
+    line is read by Python's float, which numpy applies to the non-empty lines
+    in C; a body it refuses, or reads as non-finite or empty, is parsed again
+    line by line, which skips whitespace-only lines and names the bad line.
     """
     try:
         text = Path(path).read_text(encoding=_ENCODING)
@@ -146,27 +145,13 @@ def read_loss_csv(path) -> QuantileSource:
         raise DataError(f"cannot read {path}: {exc}") from exc
     lines = text.splitlines()
     start = 1 if lines and lines[0].strip().lower() == "loss" else 0
-    losses = _loadtxt_column(lines, start)
-    if losses is None:
+    try:
+        losses = np.array(list(filter(None, lines[start:])), dtype=np.float64)
+    except ValueError:
+        losses = None
+    if losses is None or losses.size == 0 or not np.all(np.isfinite(losses)):
         losses = _parse_lines(path, lines, start)
     return load_empirical(losses)
-
-
-def _loadtxt_column(lines: list, start: int):
-    """The one column of finite losses in lines[start:], read by numpy's C
-    reader, or None when it cannot vouch for them."""
-    try:
-        with warnings.catch_warnings():
-            # an empty body warns; the line parser reports it as a DataError
-            warnings.simplefilter("ignore", UserWarning)
-            values = np.loadtxt(lines, dtype=np.float64, comments=None, delimiter=",",
-                                skiprows=start, ndmin=2)
-    except ValueError:
-        return None
-    # ndmin=2 keeps a single line "1,2" from reading as two rows
-    if values.shape[1] != 1 or values.size == 0 or not np.all(np.isfinite(values)):
-        return None
-    return values.ravel()
 
 
 def _parse_lines(path, lines: list, start: int) -> list:

@@ -39,11 +39,14 @@ _PARAMETER = {"exponential": "a", "power": "c", "es": "alpha", "flat": None}
 class WeightSpec:
     """A parametric weight family plus its parameter values.
 
-    Families:
-      exponential  phi(p) = lambda * exp(-a * (1 - p)),  0 < a < inf
-      power        phi(p) = c * (1 - p) ** (c - 1),      0 < c < 1
-      es           phi(p) = 1 / (1 - alpha) for p >= alpha, else 0
-      flat         phi(p) = 1
+    Families, each the normalised marginal utility
+    phi(p) = U'(1 - p) / (U(1) - U(0)) of a utility U on [0, 1]:
+      exponential  phi(p) = lambda * exp(-a * (1 - p)),  0 < a < inf   U(x) = -exp(-a x)
+      power        phi(p) = c * (1 - p) ** (c - 1),      0 < c < 1     U(x) = x ** c
+      es           phi(p) = 1 / (1 - alpha) for p >= alpha, else 0     U(x) = min(x, 1 - alpha)
+      flat         phi(p) = 1                                          U(x) = x
+    The exponential U has absolute risk aversion a, the power U relative
+    risk aversion 1 - c.
     """
 
     family: str
@@ -230,7 +233,8 @@ def _log_tail_probability(spec: WeightSpec, w):
 
 
 def utility_exponential(x, a: float):
-    """Exponential utility -exp(-a x); constant absolute risk aversion a."""
+    """Exponential utility -exp(-a x), constant absolute risk aversion a;
+    its normalised marginal utility is the weight WeightSpec.exponential(a)."""
     if not a > 0.0:
         raise ValueError("a must be positive")
     out = -np.exp(-a * np.asarray(x, dtype=float))
@@ -238,7 +242,9 @@ def utility_exponential(x, a: float):
 
 
 def utility_power(x, c: float):
-    """Power utility x**(1 - c) / (1 - c) for x > 0; constant relative risk aversion c."""
+    """Power utility x**(1 - c) / (1 - c) for x > 0, constant relative risk
+    aversion c; the weight WeightSpec.power(c) comes from utility_power(x,
+    1 - c), that is from relative risk aversion 1 - c."""
     if not 0.0 < c < 1.0:
         raise ValueError("c must lie in (0, 1)")
     arr = np.asarray(x, dtype=float)

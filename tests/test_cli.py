@@ -118,6 +118,8 @@ def test_usage_errors_exit_with_code_1(capsys):
          "--precision", "-1"],
         ["compute", "--measure", "srm", "--dist", "empirical"],           # no input
         ["compute", "--measure", "srm", "--dist", "constant"],            # no value
+        ["compute", "--measure", "es", "--alpha", "0.95", "--dist", "uniform",
+         "--lo", "1"],                                                    # no hi
         ["sweep", "--family", "exponential", "--grid", "5:1:3", "--out", "x.csv"],
         ["sweep", "--family", "exponential", "--grid", "oops", "--out", "x.csv"],
         ["convergence", "--family", "flat", "--n-list", "abc", "--out", "x.csv"],

@@ -83,6 +83,18 @@ def test_measures_are_monotone_in_their_risk_parameters():
     assert var_vals[0] < var_vals[1] < var_vals[2]
 
 
+@pytest.mark.parametrize("source", [
+    standard_normal(),
+    load_empirical(np.random.default_rng(0).lognormal(size=200)),
+], ids=["normal", "lognormal-200"])
+def test_converged_power_measure_falls_strictly_as_c_rises(source):
+    # the power mass 1 - (1 - p) ** c rises with c, so the exact measure falls:
+    # each step is larger than the two bounds together
+    results = [srm_converged(source, WeightSpec.power(float(c))) for c in np.linspace(0.01, 0.99, 25)]
+    for left, right in zip(results, results[1:]):
+        assert left.value - right.value > left.estimated_error + right.estimated_error
+
+
 def test_srm_wrappers_agree_with_the_generic_entry_point():
     src = standard_normal()
     config = QuadratureConfig(n_points=10_001)

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -234,6 +235,60 @@ def test_utilities_are_increasing_and_concave():
         assert np.all(np.diff(d) < 0.0)
 
 
+# phi(p) = U'(1 - p) / (U(1) - U(0)): each family is a normalised marginal utility
+_PS = np.linspace(0.01, 0.99, 99)
+
+
+def _marginal(utility, x, h=1e-6):
+    return (utility(x + h) - utility(x - h)) / (2.0 * h)
+
+
+@pytest.mark.parametrize("a", [0.5, 5.0, 50.0])
+def test_exponential_weight_is_the_normalised_marginal_exponential_utility(a):
+    def u(x):
+        return utility_exponential(x, a)
+    phi = _marginal(u, 1.0 - _PS) / (u(1.0) - u(0.0))
+    np.testing.assert_allclose(phi, weight(WeightSpec.exponential(a), _PS), rtol=1e-8)
+
+
+@pytest.mark.parametrize("c", [0.1, 0.3, 0.9])
+def test_power_weight_is_the_normalised_marginal_power_utility(c):
+    # U(x) = x ** c, relative risk aversion 1 - c, and U(1) - U(0) = 1
+    def u(x):
+        return c * utility_power(x, 1.0 - c)
+    phi = _marginal(u, 1.0 - _PS)
+    np.testing.assert_allclose(phi, weight(WeightSpec.power(c), _PS), rtol=1e-8)
+
+
+def _mass_at_most(smaller: WeightSpec, larger: WeightSpec, p: float):
+    lo, hi = weight_mass(smaller, p), weight_mass(larger, p)
+    assert lo <= hi + 4.0 * np.spacing(hi), (smaller, larger, p)
+
+
+_UNIT = st.floats(0.0, 1.0)
+_OPEN_UNIT = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+
+
+# within each family the mass is ordered in the parameter at every p, so the
+# measure rises with a, falls with c and rises with alpha for every source
+@given(st.floats(1e-6, 1e6), st.floats(1e-6, 1e6), _UNIT)
+def test_exponential_mass_falls_as_a_rises(a1, a2, p):
+    lo, hi = sorted((a1, a2))
+    _mass_at_most(WeightSpec.exponential(hi), WeightSpec.exponential(lo), p)
+
+
+@given(_OPEN_UNIT, _OPEN_UNIT, _UNIT)
+def test_power_mass_rises_with_c(c1, c2, p):
+    lo, hi = sorted((c1, c2))
+    _mass_at_most(WeightSpec.power(lo), WeightSpec.power(hi), p)
+
+
+@given(_OPEN_UNIT, _OPEN_UNIT, _UNIT)
+def test_es_mass_falls_as_alpha_rises(alpha1, alpha2, p):
+    lo, hi = sorted((alpha1, alpha2))
+    _mass_at_most(WeightSpec.es(hi), WeightSpec.es(lo), p)
+
+
 @pytest.mark.parametrize("spec", [
     WeightSpec.exponential(a=1.0),
     WeightSpec.exponential(a=100.0),
@@ -344,6 +399,21 @@ def test_callable_candidates():
 def test_non_finite_candidate_fails_without_raising():
     report = check_admissibility(lambda p: math.nan if p > 0.5 else 2.0 * p)
     assert not report.positivity
+    assert not report.admissible
+
+    # a scalar-only callable that raises is evaluated point by point; its
+    # failures read as nan
+    report = check_admissibility(lambda p: 1 / 0 if p > 0.5 else 2 * p)
+    assert not report.positivity
+    assert report.positivity_worst[0] == pytest.approx(0.501, abs=1e-3)
+    assert math.isnan(report.positivity_worst[1])
+    assert math.isnan(report.normalisation_integral)
+    assert not report.admissible
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = check_admissibility(lambda p: math.nan)
+    assert math.isnan(report.increasingness_worst[2])
     assert not report.admissible
 
 
