@@ -5,102 +5,23 @@ normalised, non-decreasing weight over cumulative probability, so the
 weight function is exactly where a user's risk aversion enters.  The
 package provides the standard weight families, quantile sources, the
 quadrature engines that join them, and sweep and validation utilities.
+
+Each module's __all__ is its public surface, and the package re-exports
+exactly those names.
 """
 
-from .analysis import (
-    SubadditivityReport,
-    SweepResult,
-    convergence_to_csv,
-    curve_to_csv,
-    find_peak,
-    subadditivity_check,
-    sweep_srm,
-    sweep_to_csv,
-    var_subadditivity_counterexample,
-    weight_curve,
-)
-from .distributions import (
-    QuantileSource,
-    constant,
-    inverse_normal_cdf,
-    load_empirical,
-    normal,
-    quantile,
-    read_loss_csv,
-    standard_normal,
-    uniform,
-)
-from .errors import ConvergenceError, DataError, NumericalError, SingularityError
-from .measures import es, exponential_srm, lpm, power_srm, srm, var
-from .quadrature import (
-    MonteCarloResult,
-    QuadratureConfig,
-    QuadratureResult,
-    convergence_study,
-    simpson_composite,
-    srm_converged,
-    srm_monte_carlo,
-    srm_replication,
-)
-from .risk_aversion import (
-    AdmissibilityReport,
-    WeightSpec,
-    ara,
-    check_admissibility,
-    rra,
-    utility_exponential,
-    utility_power,
-    weight,
-    weight_mass,
-)
+from . import analysis, distributions, errors, measures, quadrature, risk_aversion
+from .analysis import *
+from .distributions import *
+from .errors import *
+from .measures import *
+from .quadrature import *
+from .risk_aversion import *
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdmissibilityReport",
-    "ConvergenceError",
-    "DataError",
-    "MonteCarloResult",
-    "NumericalError",
-    "QuadratureConfig",
-    "QuadratureResult",
-    "QuantileSource",
-    "SingularityError",
-    "SubadditivityReport",
-    "SweepResult",
-    "WeightSpec",
-    "ara",
-    "check_admissibility",
-    "constant",
-    "convergence_study",
-    "convergence_to_csv",
-    "curve_to_csv",
-    "es",
-    "exponential_srm",
-    "find_peak",
-    "inverse_normal_cdf",
-    "load_empirical",
-    "lpm",
-    "normal",
-    "power_srm",
-    "quantile",
-    "read_loss_csv",
-    "rra",
-    "simpson_composite",
-    "srm",
-    "srm_converged",
-    "srm_monte_carlo",
-    "srm_replication",
-    "standard_normal",
-    "subadditivity_check",
-    "sweep_srm",
-    "sweep_to_csv",
-    "uniform",
-    "utility_exponential",
-    "utility_power",
-    "var",
-    "var_subadditivity_counterexample",
-    "weight",
-    "weight_curve",
-    "weight_mass",
+    name
+    for module in (analysis, distributions, errors, measures, quadrature, risk_aversion)
+    for name in module.__all__
 ]

@@ -94,6 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("compute", help="compute one risk measure",
                         description=f"--measure es starts from --scheme {es_base.scheme} "
                                     f"and --rel-tol {es_base.rel_tol:g}")
+    sp.set_defaults(run=_cmd_compute)
     sp.add_argument("--measure", required=True, choices=["var", "es", "srm"])
     _add_source_args(sp)
     _add_weight_args(sp)
@@ -101,6 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--precision", type=int, default=6, help="decimal places printed (default 6)")
 
     sp = sub.add_parser("sweep", help="sweep a weight family across a parameter grid")
+    sp.set_defaults(run=_cmd_sweep)
     sp.add_argument("--family", required=True, choices=[f for f, key in _PARAMETER.items() if key])
     sp.add_argument("--grid", required=True, help="parameter grid as min:max:count")
     sp.add_argument("--log-grid", action="store_true", help="space the grid geometrically")
@@ -109,17 +111,20 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", required=True, help="CSV output path (param,value)")
 
     sp = sub.add_parser("weights", help="export weight function samples")
+    sp.set_defaults(run=_cmd_weights)
     _add_weight_args(sp)
     _add_library_arg(sp, "--points", analysis.weight_curve, "n_points", "samples on [0, p-max]")
     _add_library_arg(sp, "--p-max", analysis.weight_curve, "p_max", "last probability sampled")
     sp.add_argument("--out", required=True, help="CSV output path (p,weight)")
 
     sp = sub.add_parser("validate", help="check a weight function for admissibility")
+    sp.set_defaults(run=_cmd_validate)
     _add_weight_args(sp)
     _add_library_arg(sp, "--grid-size", check_admissibility, "grid_size", "interior check points")
     sp.add_argument("--out", help="write the JSON report here instead of stdout")
 
     sp = sub.add_parser("convergence", help="replication values by grid size, against the converged value")
+    sp.set_defaults(run=_cmd_convergence)
     _add_weight_args(sp)
     _add_source_args(sp)
     sp.add_argument("--n-list", required=True, help="comma-separated odd grid sizes")
@@ -127,6 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", required=True, help="CSV output path (n,value)")
 
     sp = sub.add_parser("subadd", help="stress subadditivity on random sample pairs")
+    sp.set_defaults(run=_cmd_subadd)
     _add_weight_args(sp)
     _add_library_arg(sp, "--trials", analysis.subadditivity_check, "trials", "sample pairs drawn")
     _add_library_arg(sp, "--sample-size", analysis.subadditivity_check, "sample_size",
@@ -285,21 +291,11 @@ def _cmd_subadd(args) -> int:
     return _emit_json(report.to_dict(), args.out)
 
 
-_COMMANDS = {
-    "compute": _cmd_compute,
-    "sweep": _cmd_sweep,
-    "weights": _cmd_weights,
-    "validate": _cmd_validate,
-    "convergence": _cmd_convergence,
-    "subadd": _cmd_subadd,
-}
-
-
 def main(argv=None) -> int:
     try:
         parser = build_parser()
         args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except SystemExit as exc:
         # argparse --help exits through here
         code = exc.code

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+__all__ = ["DataError", "SingularityError", "NumericalError", "ConvergenceError"]
+
 
 class DataError(ValueError):
     """Malformed or unusable input data (bad CSV, non-finite samples)."""

@@ -146,6 +146,7 @@ def _chunked_simpson(eval_pair, y_lo: float, y_hi: float, lo: float, hi: float, 
     Chunks start at odd k, so a chunk's even and odd positions are the
     nodes of coefficient 4 and 2, summed as two strided sums.  The
     endpoint values y_lo and y_hi, at lo and hi, are passed in as scalars.
+    Finite values whose sum overflows raise NumericalError.
     """
     for x, y in ((lo, y_lo), (hi, y_hi)):
         if not math.isfinite(y):
@@ -158,17 +159,23 @@ def _chunked_simpson(eval_pair, y_lo: float, y_hi: float, lo: float, hi: float, 
         x = lo + k * h
         x_mirror = lo + (n - 1 - k) * h
         f, f_mirror = eval_pair(x, x_mirror)
-        y = f + f_mirror
-        if k[-1] == mid:
-            y[-1] *= 0.5
-        part = 4.0 * float(y[0::2].sum()) + 2.0 * float(y[1::2].sum())
+        with np.errstate(over="ignore"):  # an overflowing sum is raised below
+            y = f + f_mirror
+            if k[-1] == mid:
+                y[-1] *= 0.5
+            part = 4.0 * float(y[0::2].sum()) + 2.0 * float(y[1::2].sum())
         if not math.isfinite(part):
             for nodes, values in ((x, f), (x_mirror, f_mirror)):
                 bad = ~np.isfinite(values)
                 if np.any(bad):
                     raise _not_finite(nodes[np.argmax(bad)])
         total += part
-    return total * h / 3.0
+    value = total * h / 3.0
+    if not math.isfinite(value):
+        raise NumericalError(
+            f"the {n:,}-node Simpson sum overflows a double; try the converged scheme"
+        )
+    return value
 
 
 def simpson_composite(f, lo: float, hi: float, n_points: int) -> float:

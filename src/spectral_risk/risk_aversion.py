@@ -427,10 +427,7 @@ def check_admissibility(candidate, grid_size: int = 1001) -> AdmissibilityReport
     with np.errstate(invalid="ignore"):
         increasingness = bool(np.all(rises >= -1e-12))
         strict_rise = spec_rise or bool(np.any(rises > 0.0))
-    if np.all(np.isnan(rises)):
-        j = 0
-    else:
-        j = int(np.nanargmin(rises))
+    j = int(np.argmin(rises))  # argmin ranks a nan, a failed rise, below every number
     increasingness_worst = (float(ps[j]), float(ps[j + 1]), float(rises[j]))
 
     normalisation = bool(math.isfinite(integral) and abs(integral - 1.0) <= 1e-6)

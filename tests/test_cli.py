@@ -260,6 +260,13 @@ def test_numeric_failures_exit_with_code_3(capsys):
     assert code == 3
     assert "converge" in err
 
+    # finite nodes whose replication grid sum overflows: exit 3, not inf
+    argv = ["compute", "--measure", "srm", "--family", "flat",
+            "--dist", "constant", "--value", "1e306", "--n", "100001"]
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (3, "")
+    assert "converged scheme" in err
+
 
 def test_sweep_writes_the_grid_csv(tmp_path, capsys):
     out = tmp_path / "sweep.csv"

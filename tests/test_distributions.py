@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from reference import bisect_normal_quantile, interp_quantile
 from spectral_risk import (
@@ -47,8 +47,11 @@ def test_inverse_normal_cdf_vector_matches_scalar():
 
 
 @given(st.floats(min_value=0.5, max_value=1.0, exclude_max=True))
+@example(0.8646647167633873)
 def test_inverse_normal_cdf_exactly_antisymmetric(q):
-    # 1 - q is exact for q in [0.5, 1), so the reflection must be exact too
+    # 1 - q is exact for q in [0.5, 1), so the reflection must be exact too.
+    # The example is fl(1 - e^-2), the branch point of scipy's ndtri, where
+    # ndtri(q) and -ndtri(1 - q) differ by one ulp
     assert inverse_normal_cdf(1.0 - q) == -inverse_normal_cdf(q)
 
 

@@ -99,6 +99,20 @@ def test_simpson_composite_input_validation():
         simpson_composite(lambda x: 1.0, 0.0, 1.0, 11)
 
 
+def test_grid_sum_that_overflows_raises_instead_of_returning_inf():
+    # every node is finite, but their weighted sum passes the largest double
+    config = QuadratureConfig(n_points=100_001)
+    with pytest.raises(NumericalError, match="overflows a double; try the converged scheme"):
+        srm_replication(constant(1e306), WeightSpec.flat(), config)
+    with pytest.raises(NumericalError, match="3-node Simpson sum overflows"):
+        srm_replication(constant(1.7e308), WeightSpec.flat(), QuadratureConfig(n_points=3))
+    with pytest.raises(NumericalError, match="overflows"):
+        simpson_composite(lambda x: np.full_like(x, 1e306), 0.0, 1.0, 100_001)
+    # the converged scheme sums no grid, and a smaller level stays priced
+    assert srm_converged(constant(1e306), WeightSpec.flat()).value == 1e306
+    assert srm_replication(constant(1e300), WeightSpec.flat(), config).value == pytest.approx(1e300)
+
+
 def test_quadrature_config_validation():
     with pytest.raises(ValueError, match="odd"):
         QuadratureConfig(n_points=1000)

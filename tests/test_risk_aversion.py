@@ -409,6 +409,9 @@ def test_non_finite_candidate_fails_without_raising():
     assert math.isnan(report.positivity_worst[1])
     assert math.isnan(report.normalisation_integral)
     assert not report.admissible
+    # the worst rise is the first that failed, a nan one, not the smallest finite rise
+    assert report.increasingness_worst[:2] == (0.49999999999999994, 0.5009980039920159)
+    assert math.isnan(report.increasingness_worst[2])
 
     with warnings.catch_warnings():
         warnings.simplefilter("error")
