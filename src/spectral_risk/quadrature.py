@@ -16,7 +16,11 @@ and every family's p = 1 singularity becomes a mild logarithmic one that
 a tanh-sinh rule absorbs; its error is the measured difference between
 successive levels.  A Monte Carlo estimator that draws the weight mass
 uniformly through the same map gives an independent cross-check, biased
-low where the weight holds mass beyond p = 1 - 1e-16.
+low where the weight holds mass beyond p = 1 - 1e-16.  It processes each
+seeded stream in pieces of the replication chunk size and adds the
+pieces' sums in np.sum's pairwise order, so its temporaries also stay
+under the mmap threshold and a seeded result does not depend on the
+piece size.
 """
 
 from __future__ import annotations
@@ -62,7 +66,11 @@ __all__ = [
 # The default 10M grid on a normal source takes about 0.18 s on a 2-core
 # x86 machine, against 0.21-0.29 s at 1 << 16.
 _CHUNK = 1 << 13
-# draws per Monte Carlo child stream; changing it changes every seeded result
+# draws per Monte Carlo child stream; changing it changes every seeded result.
+# A stream is drawn and transformed in pieces of at most _CHUNK draws, so its
+# temporaries stay under the mmap threshold too (a whole stream as one array
+# faults in about 3,900 pages per million draws), and the pieces' sums are
+# added in np.sum's pairwise order, so no seeded result depends on _CHUNK
 _MC_CHUNK = 1 << 20
 _ENDPOINT_POLICIES = ("zero_endpoints", "clip_epsilon")
 _SCHEMES = ("replication", "converged")
@@ -322,7 +330,9 @@ def _closed_form(x: np.ndarray, spec: WeightSpec, rel_tol: float) -> tuple[float
         mean_mass = _mass_integral(spec, np.arange(n - 2, -1, -1) * dp, dp) / dp
         value -= float(np.sum(np.diff(x) * mean_mass))
         spread = float(x[-1] - x[0])
-        err = _EPS * (2.0 * size + (math.log2(n) + 32.0) * spread) + min(spread, n * 2.0**-1073)
+        # _EPS scales spread first: spread times the level count can overflow
+        err = _EPS * 2.0 * size + (math.log2(n) + 32.0) * (_EPS * spread)
+        err += min(spread, n * 2.0**-1073)
     if not err <= rel_tol * size:
         raise ConvergenceError(
             f"closed form rounding bound {err!r} exceeds the tolerance (best estimate {value!r})",
@@ -371,6 +381,25 @@ def srm_converged(
     )
 
 
+def _pairwise_sums(loss, rng, n: int) -> tuple[float, float]:
+    """Sums of loss(u) and of its square over the next n uniforms of rng,
+    drawn in pieces of at most _CHUNK, so that every temporary is reused
+    from the heap.  The pieces are added in np.sum's pairwise order: a
+    block of more than _CHUNK splits where np.sum splits it, its left part
+    drawn first, and np.sum leaves blocks of 128 or fewer unsplit, so both
+    sums equal np.sum over one n-draw array bit for bit.  A sum that
+    overflows comes back infinite or nan, without a warning.
+    """
+    if n > _CHUNK:
+        half = n // 2 - (n // 2) % 8
+        left, left_sq = _pairwise_sums(loss, rng, half)
+        right, right_sq = _pairwise_sums(loss, rng, n - half)
+        return left + right, left_sq + right_sq
+    x = loss(rng.random(n))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(x.sum()), float((x * x).sum())
+
+
 def srm_monte_carlo(
     source: QuantileSource, spec: WeightSpec, n_draws: int = 1_000_000, seed: int = 0
 ) -> MonteCarloResult:
@@ -380,29 +409,38 @@ def srm_monte_carlo(
     biases power weights low by their mass beyond the clip, 2**(-53 c):
     about -12 standard errors at c = 0.1 and a million draws.
 
-    Draws are generated in fixed-size chunks with one child stream per
-    chunk, so results are reproducible for a given (seed, n_draws).
+    Draws are generated in fixed-size chunks of _MC_CHUNK with one child
+    stream per chunk, so results are reproducible for a given (seed,
+    n_draws).  Each stream is drawn and transformed in pieces of at most
+    _CHUNK draws, whose sums are added in np.sum's pairwise order: value
+    and stderr are bitwise those of summing each stream as one array.
+    Raises NumericalError when the sum of the draws or of their squares
+    overflows a double, so the value or the stderr would not be finite.
     """
     if n_draws < 2:
         raise ValueError("n_draws must be at least 2")
     total = 0.0
     total_sq = 0.0
-    done = 0
-    stream = 0
-    while done < n_draws:
-        take = min(_MC_CHUNK, n_draws - done)
+
+    def loss(u):
+        p = -np.expm1(_log_tail_probability(spec, u))
+        return quantile(source, np.clip(p, 1e-16, 1.0 - 1e-16))
+
+    for stream, start in enumerate(range(0, n_draws, _MC_CHUNK)):
         rng = np.random.default_rng([seed, stream])
-        p = -np.expm1(_log_tail_probability(spec, rng.random(take)))
-        x = quantile(source, np.clip(p, 1e-16, 1.0 - 1e-16))
-        total += float(x.sum())
-        total_sq += float((x * x).sum())
-        done += take
-        stream += 1
+        part, part_sq = _pairwise_sums(loss, rng, min(_MC_CHUNK, n_draws - start))
+        total += part
+        total_sq += part_sq
     mean = total / n_draws
     var = max(total_sq - n_draws * mean * mean, 0.0) / (n_draws - 1)
-    return MonteCarloResult(
-        value=mean, stderr=math.sqrt(var / n_draws), n_draws=n_draws, seed=seed
-    )
+    stderr = math.sqrt(var / n_draws)
+    if not math.isfinite(mean):
+        raise NumericalError(f"the sum of {n_draws:,} Monte Carlo draws overflows a double")
+    if not math.isfinite(stderr):
+        raise NumericalError(
+            f"the sum of the squares of {n_draws:,} Monte Carlo draws overflows a double"
+        )
+    return MonteCarloResult(value=mean, stderr=stderr, n_draws=n_draws, seed=seed)
 
 
 def convergence_study(

@@ -4,8 +4,10 @@ Everything here is deliberately slow and simple: plain bisection against
 the complementary error function for normal quantiles, a textbook Simpson
 loop for integrals, a whole-grid Simpson dot product, and the direct
 order-statistic interpolation formula for empirical quantiles, which the
-two combine into a segment-by-segment spectral measure.  None of it shares
-code with the package.
+two combine into a segment-by-segment spectral measure, and a seeded Monte
+Carlo mean that draws and sums each child stream as one array, taking the
+map from uniforms to losses as an argument.  None of it shares code with
+the package.
 """
 
 import math
@@ -88,3 +90,18 @@ def segment_simpson_srm(sorted_samples, weight, panels=8):
 
         total += simpson_slow(f, lo, hi, 2 * panels + 1)
     return total
+
+
+def monte_carlo_whole_streams(loss, n_draws, seed, stream_size=1 << 20):
+    """Mean and standard error of loss(u) over n_draws uniforms from child
+    streams default_rng([seed, stream]) of stream_size draws each, every
+    stream drawn, mapped and summed as one array."""
+    total = total_sq = 0.0
+    for stream, start in enumerate(range(0, n_draws, stream_size)):
+        rng = np.random.default_rng([seed, stream])
+        x = loss(rng.random(min(stream_size, n_draws - start)))
+        total += float(x.sum())
+        total_sq += float((x * x).sum())
+    mean = total / n_draws
+    var = max(total_sq - n_draws * mean * mean, 0.0) / (n_draws - 1)
+    return mean, math.sqrt(var / n_draws)

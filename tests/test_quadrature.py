@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from reference import segment_simpson_srm, simpson_grid, simpson_slow
+from reference import monte_carlo_whole_streams, segment_simpson_srm, simpson_grid, simpson_slow
 from spectral_risk import (
     ConvergenceError,
     NumericalError,
@@ -233,15 +233,23 @@ def test_replication_reuses_heap_memory_instead_of_faulting_in_fresh_pages():
 
     # temporaries above glibc's mmap threshold are mapped and faulted in
     # afresh on every call: 2**16-node chunks took about 846 faults per call
+    def faults_per_call(call, calls):
+        call()
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        for _ in range(calls):
+            call()
+        return (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / calls
+
     source = load_empirical(np.random.default_rng(31).normal(size=500))
     spec = WeightSpec.exponential(a=5.0)
     config = QuadratureConfig(n_points=100_001)
-    srm_replication(source, spec, config)
-    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    for _ in range(10):
-        srm_replication(source, spec, config)
-    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
-    assert faults / 10 < 100
+    assert faults_per_call(lambda: srm_replication(source, spec, config), 10) < 100
+
+    def draws():
+        return srm_monte_carlo(standard_normal(), spec, n_draws=1_000_000, seed=5)
+
+    # a million draws summed as whole 2**20-draw streams took about 3,900
+    assert faults_per_call(draws, 3) < 100
 
 
 @pytest.mark.parametrize("a,ref", sorted(NORMAL_EXPONENTIAL_REFS.items()))
@@ -454,6 +462,13 @@ def test_closed_form_refuses_a_tolerance_below_its_rounding_bound():
     assert err.error_bound == certified.estimated_error
 
 
+def test_closed_form_rounding_bound_stays_finite_on_the_widest_samples():
+    # spread times the level count would pass the largest double
+    result = srm_converged(load_empirical([-8e307, 8e307]), WeightSpec.flat())
+    assert result.value == 0.0
+    assert 0.0 < result.estimated_error < math.inf
+
+
 def test_monte_carlo_is_reproducible_and_seed_sensitive():
     spec = WeightSpec.exponential(a=5.0)
     src = standard_normal()
@@ -472,6 +487,51 @@ def test_monte_carlo_seeded_value_is_pinned_across_two_chunks():
                          n_draws=(1 << 20) + 3, seed=11)
     assert mc.value == 1.0809187093178463
     assert mc.stderr == 0.000753108248924372
+
+
+def _whole_stream_reference(source, spec, n_draws, seed):
+    def loss(u):
+        p = -np.expm1(_log_tail_probability(spec, u))
+        return quantile(source, np.clip(p, 1e-16, 1.0 - 1e-16))
+
+    return monte_carlo_whole_streams(loss, n_draws, seed)
+
+
+@pytest.mark.parametrize("spec", [
+    WeightSpec.exponential(a=5.0),
+    WeightSpec.power(0.1),
+    WeightSpec.es(0.95),
+    WeightSpec.flat(),
+], ids=["exponential", "power", "es", "flat"])
+@pytest.mark.parametrize("source", [
+    normal(0.3, 1.2),
+    load_empirical(np.random.default_rng(29).normal(0.3, 1.2, 500)),
+], ids=["normal", "empirical-500"])
+def test_monte_carlo_matches_the_whole_stream_reference_bitwise(source, spec):
+    # pieces of _CHUNK draws summed in np.sum's pairwise order give the
+    # bits of one np.sum over the stream, on both sides of each piece edge
+    for n in (2, 3, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1, 1_000_000):
+        mc = srm_monte_carlo(source, spec, n_draws=n, seed=13)
+        assert (mc.value, mc.stderr) == _whole_stream_reference(source, spec, n, 13), n
+
+
+def test_monte_carlo_matches_the_whole_stream_reference_across_two_streams():
+    source = load_empirical(np.random.default_rng(29).normal(0.3, 1.2, 500))
+    spec = WeightSpec.power(0.1)
+    mc = srm_monte_carlo(source, spec, n_draws=(1 << 20) + 3, seed=2)
+    assert (mc.value, mc.stderr) == _whole_stream_reference(source, spec, (1 << 20) + 3, 2)
+
+
+@pytest.mark.parametrize("source,overflowing", [
+    (constant(1e306), r"the sum of 1,000 Monte Carlo draws"),
+    # the mean is finite, but every square passes the largest double
+    (constant(1e200), r"the sum of the squares of 1,000 Monte Carlo draws"),
+    # partial sums overflow with both signs and meet as inf - inf
+    (load_empirical([-8e307, 8e307]), r"the sum of 1,000 Monte Carlo draws"),
+], ids=["1e306", "1e200", "both-signs"])
+def test_monte_carlo_sum_that_overflows_raises_instead_of_returning_inf(source, overflowing):
+    with pytest.raises(NumericalError, match=overflowing + " overflows a double"):
+        srm_monte_carlo(source, WeightSpec.flat(), n_draws=1000)
 
 
 def test_monte_carlo_agrees_with_quadrature():
