@@ -41,11 +41,18 @@ def inverse_normal_cdf(p):
 
     Computed by scipy's ndtri on the lower half and exactly antisymmetric:
     the upper half reflects the lower half, and 1 - p is exact for p >= 0.5.
+    Input that lies wholly in the lower half, as the replication kernel's
+    does, goes to ndtri as it is, which is the reflection bit for bit.
     """
     arr = np.asarray(p, dtype=float)
-    if arr.size and not np.all((arr > 0.0) & (arr < 1.0)):
+    # the initial value lets an empty array pass; a nan fails both tests
+    lo, hi = arr.min(initial=0.5), arr.max(initial=0.5)
+    if not (lo > 0.0 and hi < 1.0):
         raise ValueError("probability must lie strictly inside (0, 1)")
-    z = np.copysign(ndtri(np.minimum(arr, 1.0 - arr)), arr - 0.5)
+    if hi <= 0.5:
+        z = ndtri(arr)
+    else:
+        z = np.copysign(ndtri(np.minimum(arr, 1.0 - arr)), arr - 0.5)
     return float(z) if arr.ndim == 0 else z
 
 
@@ -193,7 +200,7 @@ def _interpolate(samples: np.ndarray, p):
 def quantile(source: QuantileSource, p):
     """Quantile of `source` at probability p (scalar or array), p in (0, 1)."""
     arr = np.asarray(p, dtype=float)
-    if arr.size and not np.all((arr > 0.0) & (arr < 1.0)):
+    if not (arr.min(initial=0.5) > 0.0 and arr.max(initial=0.5) < 1.0):
         raise ValueError("probability must lie strictly inside (0, 1)")
     if source.kind == "normal":
         out = source.mean + source.sd * inverse_normal_cdf(arr)

@@ -7,7 +7,9 @@ is singular at p = 1.  It evaluates the two endpoints once, as scalars,
 and the interior in one pass over the lower half of the grid, in chunks
 whose temporaries stay under the allocator's mmap threshold, with each
 node paired with its mirror 1 - p: a normal source then needs one
-inverse-normal evaluation per pair.  The converged scheme picks its
+inverse-normal evaluation per pair, and a chunk whose weights are zero at
+every node and mirror, as expected shortfall's are below alpha, evaluates
+no quantile at all.  The converged scheme picks its
 evaluator by what the source is.  A piecewise-linear
 source has an exact closed form in the integrated weight mass, so its
 only error is float rounding, which it bounds.  A normal source is
@@ -150,11 +152,13 @@ def _chunked_simpson(eval_pair, y_lo: float, y_hi: float, lo: float, hi: float, 
     nodes, small enough that every temporary is reused from the heap
     rather than mapped afresh: eval_pair(x, x_mirror) returns the integrand
     at a chunk's nodes and at their mirrors, and the middle node, its own
-    mirror, is counted once.
+    mirror, is counted once.  eval_pair may overwrite x and x_mirror with
+    the nodes it evaluates, which an error then names.
     Chunks start at odd k, so a chunk's even and odd positions are the
     nodes of coefficient 4 and 2, summed as two strided sums.  The
     endpoint values y_lo and y_hi, at lo and hi, are passed in as scalars.
-    Finite values whose sum overflows raise NumericalError.
+    A value that is not finite raises NumericalError naming its node, as
+    do finite values whose sum overflows.
     """
     for x, y in ((lo, y_lo), (hi, y_hi)):
         if not math.isfinite(y):
@@ -163,13 +167,16 @@ def _chunked_simpson(eval_pair, y_lo: float, y_hi: float, lo: float, hi: float, 
     mid = (n - 1) // 2
     total = y_lo + y_hi
     for start in range(1, mid + 1, _CHUNK):
-        k = np.arange(start, min(start + _CHUNK, mid + 1), dtype=float)
-        x = lo + k * h
-        x_mirror = lo + (n - 1 - k) * h
+        stop = min(start + _CHUNK, mid + 1)
+        x = np.arange(start, stop, dtype=float)
+        x_mirror = np.subtract(n - 1, x)
+        for nodes in (x, x_mirror):
+            nodes *= h
+            nodes += lo
         f, f_mirror = eval_pair(x, x_mirror)
         with np.errstate(over="ignore"):  # an overflowing sum is raised below
             y = f + f_mirror
-            if k[-1] == mid:
+            if stop == mid + 1:
                 y[-1] *= 0.5
             part = 4.0 * float(y[0::2].sum()) + 2.0 * float(y[1::2].sum())
         if not math.isfinite(part):
@@ -227,16 +234,31 @@ def srm_replication(
     n = config.n_points
 
     def integrand(p, p_mirror):
+        w, w_mirror = weight(spec, p), weight(spec, p_mirror)
+        # weights are non-negative, and 0 q adds 0 for every finite q: a
+        # chunk that both halves weigh at zero needs no quantile
+        if w_mirror.max() == 0.0 and w.max() == 0.0:
+            return w, w_mirror
         q, q_mirror = _quantile_pair(source, p, p_mirror)
-        return weight(spec, p) * q, weight(spec, p_mirror) * q_mirror
+        with np.errstate(over="ignore"):  # _chunked_simpson names a node that overflows
+            w *= q
+            w_mirror *= q_mirror
+        return w, w_mirror
 
     if config.endpoint_policy == "clip_epsilon":
         eps = config.epsilon
 
         def eval_pair(p, p_mirror):
-            return integrand(np.maximum(p, eps), np.minimum(p_mirror, 1.0 - eps))
+            # clipped in place, so that an error names the node evaluated
+            np.maximum(p, eps, out=p)
+            np.minimum(p_mirror, 1.0 - eps, out=p_mirror)
+            return integrand(p, p_mirror)
 
-        y_lo, y_hi = (weight(spec, p) * quantile(source, p) for p in (eps, 1.0 - eps))
+        ends = (eps, 1.0 - eps)
+        y_lo, y_hi = (weight(spec, p) * quantile(source, p) for p in ends)
+        for p, y in zip(ends, (y_lo, y_hi)):
+            if not math.isfinite(y):
+                raise _not_finite(p)
     else:
         eval_pair = integrand
         y_lo = _endpoint_integrand(source, spec, 0.0)

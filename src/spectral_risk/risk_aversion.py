@@ -127,7 +127,9 @@ class WeightSpec:
 
 
 def _check_unit_interval(arr: np.ndarray):
-    if arr.size and not np.all((arr >= 0.0) & (arr <= 1.0)):
+    # one pass for each extreme; the initial value lets an empty array pass,
+    # and a nan fails both tests
+    if not (arr.min(initial=0.5) >= 0.0 and arr.max(initial=0.5) <= 1.0):
         raise ValueError("p must lie in [0, 1]")
 
 

@@ -6,8 +6,9 @@ loop for integrals, a whole-grid Simpson dot product, and the direct
 order-statistic interpolation formula for empirical quantiles, which the
 two combine into a segment-by-segment spectral measure, and a seeded Monte
 Carlo mean that draws and sums each child stream as one array, taking the
-map from uniforms to losses as an argument.  None of it shares code with
-the package.
+map from uniforms to losses as an argument, and a folded replication loop
+that evaluates the quantiles at every node, taking the quantile and weight
+maps as arguments.  None of it shares code with the package.
 """
 
 import math
@@ -105,3 +106,28 @@ def monte_carlo_whole_streams(loss, n_draws, seed, stream_size=1 << 20):
     mean = total / n_draws
     var = max(total_sq - n_draws * mean * mean, 0.0) / (n_draws - 1)
     return mean, math.sqrt(var / n_draws)
+
+
+def replication_every_node(quantile_pair, weight, n, policy, eps, ends, chunk=1 << 13):
+    """Composite Simpson over the uniform n-point grid on [0, 1], folded:
+    nodes k = 1 .. (n - 1) / 2 in chunks of chunk nodes, each paired with
+    its mirror n - 1 - k, the middle node halved, and every chunk's
+    quantiles evaluated whatever its weights.  quantile_pair(p, p_mirror)
+    and weight(p) map arrays; ends holds the two endpoint integrand
+    values, and clip_epsilon clips the other nodes to [eps, 1 - eps].
+    Each chunk adds 4 times its even-position sum and 2 times its odd one.
+    """
+    h = 1.0 / (n - 1)
+    mid = (n - 1) // 2
+    total = ends[0] + ends[1]
+    for start in range(1, mid + 1, chunk):
+        k = np.arange(start, min(start + chunk, mid + 1), dtype=float)
+        p, p_mirror = k * h, (n - 1 - k) * h
+        if policy == "clip_epsilon":
+            p, p_mirror = np.maximum(p, eps), np.minimum(p_mirror, 1.0 - eps)
+        q, q_mirror = quantile_pair(p, p_mirror)
+        y = weight(p) * q + weight(p_mirror) * q_mirror
+        if k[-1] == mid:
+            y[-1] *= 0.5
+        total += 4.0 * float(y[0::2].sum()) + 2.0 * float(y[1::2].sum())
+    return total * h / 3.0

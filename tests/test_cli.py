@@ -268,6 +268,24 @@ def test_numeric_failures_exit_with_code_3(capsys):
     assert "converged scheme" in err
 
 
+@pytest.mark.parametrize("policy,node", [
+    ("zero-endpoints", "0.999"),
+    # the node evaluated is the clip point 1 - epsilon, not the grid end
+    ("clip-epsilon", "0.999999999"),
+])
+def test_a_product_that_overflows_names_its_node_without_a_warning(tmp_path, capsys, policy, node):
+    wide = tmp_path / "wide.csv"
+    wide.write_text("-8e307\n8e307\n", encoding="utf-8")
+    argv = ["compute", "--measure", "srm", "--family", "exponential", "--a", "5",
+            "--dist", "empirical", "--input", str(wide), "--n", "1001",
+            "--endpoint-policy", policy]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(argv, capsys)
+    assert (code, out) == (3, "")
+    assert err == f"error: integrand not finite at node x = {node}\n"
+
+
 def test_sweep_writes_the_grid_csv(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     argv = ["sweep", "--family", "exponential", "--grid", "1:9:3",

@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
+from scipy.special import ndtri
 
 from reference import bisect_normal_quantile, interp_quantile
 from spectral_risk import (
@@ -64,10 +65,44 @@ def test_inverse_normal_cdf_monotone(p1, p2):
     assert inverse_normal_cdf(lo) <= inverse_normal_cdf(hi)
 
 
-@pytest.mark.parametrize("bad", [0.0, 1.0, -0.1, 1.5, math.nan])
+# arrays with one probability outside (0, 1): a nan first, in the middle or
+# last, an endpoint, an infinity or a value beyond the interval
+BAD_PROBABILITY_ARRAYS = [
+    pytest.param([math.nan, 0.3, 0.4], id="nan-first"),
+    pytest.param([0.3, math.nan, 0.4], id="nan-middle"),
+    pytest.param([0.3, 0.4, math.nan], id="nan-last"),
+    pytest.param([0.3, 0.0, 0.4], id="zero"),
+    pytest.param([0.3, 0.4, 1.0], id="one"),
+    pytest.param([-math.inf, 0.3], id="minus-inf"),
+    pytest.param([0.3, math.inf], id="inf"),
+    pytest.param([-0.1, 0.3], id="below"),
+    pytest.param([0.3, 1.5, 0.4], id="above"),
+]
+
+
+@pytest.mark.parametrize("bad", [0.0, 1.0, -0.1, 1.5, math.nan, *BAD_PROBABILITY_ARRAYS])
 def test_inverse_normal_cdf_rejects_out_of_range(bad):
     with pytest.raises(ValueError, match="strictly inside"):
         inverse_normal_cdf(bad)
+    with pytest.raises(ValueError, match="strictly inside"):
+        inverse_normal_cdf(np.array(bad))
+
+
+def test_probability_checks_pass_an_empty_array():
+    empty = np.array([])
+    assert inverse_normal_cdf(empty).shape == (0,)
+    for src in (standard_normal(), load_empirical([1.0, 2.0]), constant(1.0)):
+        assert quantile(src, empty).shape == (0,)
+
+
+@given(st.lists(st.floats(min_value=0.0, max_value=0.5, exclude_min=True), min_size=1, max_size=20))
+@example([0.5])
+@example([5e-324, 0.25, 0.5])
+def test_inverse_normal_cdf_on_the_lower_half_is_the_reflection_bit_for_bit(ps):
+    # input wholly at or below 1/2 skips the reflection, which must change no bit
+    p = np.array(ps)
+    reflected = np.copysign(ndtri(np.minimum(p, 1.0 - p)), p - 0.5)
+    assert inverse_normal_cdf(p).tobytes() == reflected.tobytes()
 
 
 def test_normal_source_scales_standard_quantiles():
@@ -185,7 +220,7 @@ def test_load_empirical_rejects_empty_and_non_finite():
     standard_normal(), normal(0.0, 1.0), constant(1.0),
     uniform(0.0, 1.0), load_empirical([1.0, 2.0]),
 ])
-@pytest.mark.parametrize("bad", [0.0, 1.0, -0.5, 2.0])
+@pytest.mark.parametrize("bad", [0.0, 1.0, -0.5, 2.0, *BAD_PROBABILITY_ARRAYS])
 def test_quantile_rejects_boundary_probabilities(kind_src, bad):
     with pytest.raises(ValueError, match="strictly inside"):
         quantile(kind_src, bad)

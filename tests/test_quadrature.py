@@ -7,7 +7,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from reference import monte_carlo_whole_streams, segment_simpson_srm, simpson_grid, simpson_slow
+from reference import (
+    monte_carlo_whole_streams,
+    replication_every_node,
+    segment_simpson_srm,
+    simpson_grid,
+    simpson_slow,
+)
 from spectral_risk import (
     ConvergenceError,
     NumericalError,
@@ -27,7 +33,8 @@ from spectral_risk import (
     weight,
     weight_mass,
 )
-from spectral_risk.distributions import _upper_quantile
+from spectral_risk import distributions
+from spectral_risk.distributions import _quantile_pair, _upper_quantile
 from spectral_risk.quadrature import _CHUNK, _endpoint_integrand, _tanh_sinh
 from spectral_risk.risk_aversion import _log_tail_probability
 
@@ -225,6 +232,61 @@ def test_replication_matches_the_whole_grid_simpson_reference(source, spec, poli
         got = srm_replication(source, spec, config).value
         ref = _grid_reference(source, spec, n, policy)
         assert abs(got - ref) <= max(1e-12 * abs(ref), 1e-15), n
+
+
+@pytest.mark.parametrize("policy", ["zero_endpoints", "clip_epsilon"])
+@pytest.mark.parametrize("source", [
+    normal(0.3, 1.2),
+    load_empirical(np.random.default_rng(29).normal(0.3, 1.2, 500)),
+    constant(4.2),
+], ids=["normal", "empirical-500", "constant"])
+def test_replication_matches_the_every_node_reference_bitwise(source, policy):
+    # chunks whose weights are all zero skip their quantiles and still give
+    # the bits of the loop that evaluates every node
+    eps = QuadratureConfig.epsilon
+    specs = [
+        WeightSpec.exponential(a=5.0), WeightSpec.power(0.5), WeightSpec.flat(),
+        WeightSpec.es(0.3), WeightSpec.es(0.95),
+        # at n = 100,001 the third chunk's mirrors run from 0.836 down to 0.754
+        WeightSpec.es(0.8),
+    ]
+    for spec in specs:
+        if policy == "clip_epsilon":
+            ends = tuple(weight(spec, p) * quantile(source, p) for p in (eps, 1.0 - eps))
+        else:
+            ends = tuple(_endpoint_integrand(source, spec, p) for p in (0.0, 1.0))
+        for n in (3, 2 * _CHUNK - 1, 2 * _CHUNK + 1, 100_001):
+            config = QuadratureConfig(n_points=n, endpoint_policy=policy, epsilon=eps)
+            got = srm_replication(source, spec, config).value
+            ref = replication_every_node(
+                lambda p, p_mirror: _quantile_pair(source, p, p_mirror),
+                lambda p: weight(spec, p), n, policy, eps, ends, _CHUNK,
+            )
+            assert got.hex() == ref.hex(), (spec, n)
+
+
+def test_replication_evaluates_the_quantiles_of_weighted_chunks_only(monkeypatch):
+    nodes = []
+    inverse_normal_cdf = distributions.inverse_normal_cdf
+
+    def counted(p):
+        nodes.append(np.size(p))
+        return inverse_normal_cdf(p)
+
+    monkeypatch.setattr(distributions, "inverse_normal_cdf", counted)
+    n = (1 << 17) + 1
+    half = (n - 1) // 2
+
+    def evaluated(spec):
+        nodes.clear()
+        srm_replication(standard_normal(), spec, QuadratureConfig(n_points=n))
+        return sum(nodes)
+
+    # the first chunk's mirrors run down to 1 - _CHUNK / 2**17 = 0.9375 and
+    # reach 0.95; the other chunks' nodes and mirrors all lie below it
+    assert evaluated(WeightSpec.es(0.95)) == _CHUNK
+    assert evaluated(WeightSpec.es(0.3)) == half
+    assert evaluated(WeightSpec.exponential(a=5.0)) == half
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="minor fault counts are read from Linux getrusage")

@@ -95,6 +95,20 @@ def test_weight_rejects_p_outside_unit_interval():
         weight(WeightSpec.flat(), -0.1)
     with pytest.raises(ValueError, match="0, 1"):
         weight_mass(WeightSpec.flat(), 1.1)
+    # a nan first, in the middle or last, an infinity or a value beyond [0, 1]
+    bad_arrays = [
+        [math.nan, 0.3, 0.4], [0.3, math.nan, 0.4], [0.3, 0.4, math.nan],
+        [-math.inf, 0.3], [0.3, math.inf], [-0.1, 0.3], [0.3, 1.1, 0.4],
+    ]
+    for spec in (WeightSpec.exponential(a=5.0), WeightSpec.es(0.9), WeightSpec.flat()):
+        for bad in bad_arrays:
+            for fn in (weight, weight_mass):
+                with pytest.raises(ValueError, match="0, 1"):
+                    fn(spec, np.array(bad))
+        # the closed interval's ends pass, and so does an empty array
+        assert weight(spec, np.array([0.0, 1.0])).shape == (2,)
+        assert weight(spec, np.array([])).shape == (0,)
+        assert weight_mass(spec, np.array([])).shape == (0,)
 
 
 @pytest.mark.parametrize("spec", [
