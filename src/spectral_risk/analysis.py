@@ -125,12 +125,12 @@ def _draw_pair(rng: np.random.Generator, size: int, shape: int) -> tuple[np.ndar
     return a, b
 
 
-def subadditivity_check(measure, sample_size: int = 500, trials: int = 1000,
+def subadditivity_check(measure: WeightSpec, sample_size: int = 500, trials: int = 1000,
                         seed: int = 0, config: QuadratureConfig | None = None) -> SubadditivityReport:
-    """Stress a measure on random loss sample pairs.
+    """Stress a spectral measure on random loss sample pairs.
 
-    measure is a WeightSpec (evaluated as its spectral measure on each
-    empirical sample) or a callable taking a QuantileSource.  Each trial
+    measure is a WeightSpec, evaluated as its spectral measure on each
+    empirical sample under config (default _LIGHT_CONFIG).  Each trial
     draws paired samples a and b, treats a + b as the merged position, and
     flags measure(a + b) > measure(a) + measure(b) beyond rounding slack
     as a violation.
@@ -139,20 +139,13 @@ def subadditivity_check(measure, sample_size: int = 500, trials: int = 1000,
         raise ValueError("sample_size must be at least 2")
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    if isinstance(measure, WeightSpec):
-        spec = measure
-        eval_config = config if config is not None else _LIGHT_CONFIG
+    if not isinstance(measure, WeightSpec):
+        raise TypeError(f"measure must be a WeightSpec, not {type(measure).__name__}")
+    if config is None:
+        config = _LIGHT_CONFIG
 
-        def evaluate(samples: np.ndarray) -> float:
-            return srm(load_empirical(samples), spec, eval_config)
-
-    elif callable(measure):
-
-        def evaluate(samples: np.ndarray) -> float:
-            return float(measure(load_empirical(samples)))
-
-    else:
-        raise TypeError("measure must be a WeightSpec or a callable of a QuantileSource")
+    def evaluate(samples: np.ndarray) -> float:
+        return srm(load_empirical(samples), measure, config)
 
     violations = 0
     worst_gap = -math.inf

@@ -71,7 +71,9 @@ def lpm(sample, target: float, order: float) -> float:
         raise ValueError("sample must not be empty")
     if not np.all(np.isfinite(arr)):
         raise ValueError("sample values must be finite")
-    if order < 0:
+    if np.isnan(target):
+        raise ValueError("target must not be nan")
+    if not order >= 0:
         raise ValueError("order must be non-negative")
     short = np.maximum(target - arr, 0.0)
     if order == 0:

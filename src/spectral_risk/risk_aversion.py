@@ -5,7 +5,10 @@ non-negative density over quantiles.  A weight function is admissible as a
 spectral risk aversion function when it is non-negative, integrates to one,
 and never decreases in p; a stricter variant additionally demands that it
 actually rises somewhere, so that worse outcomes get strictly more weight
-than some better ones.
+than some better ones.  A weight is a WeightSpec: each family is the
+normalised marginal utility of an increasing, concave utility, so every
+family is admissible by construction, and flat, whose utility is affine,
+fails only the strict rise.
 """
 
 from __future__ import annotations
@@ -263,9 +266,13 @@ def ara(utility, x: float, step: float = 1e-4) -> float:
     up = utility(x + step)
     u0 = utility(x)
     um = utility(x - step)
-    d1 = (up - um) / (2.0 * step)
-    if abs(d1) < 1e-12:
+    if not all(map(math.isfinite, (up, u0, um))):
+        raise ValueError(f"utility is not finite near x = {x}")
+    # the derivative vanishes only when the difference is lost in rounding;
+    # a small derivative of a small utility is still measured
+    if not abs(up - um) > 8.0 * np.finfo(float).eps * max(abs(up), abs(um)):
         raise ValueError(f"utility derivative vanishes near x = {x}")
+    d1 = (up - um) / (2.0 * step)
     d2 = (up - 2.0 * u0 + um) / (step * step)
     return -d2 / d1
 
@@ -277,7 +284,7 @@ def rra(utility, x: float, step: float = 1e-4) -> float:
 
 @dataclass(frozen=True)
 class AdmissibilityReport:
-    """Outcome of the admissibility checks for a candidate weight function.
+    """Outcome of the admissibility checks for a WeightSpec.
 
     Evidence fields hold the worst case seen even when a check passes:
     positivity_worst is (p, value) at the minimum, increasingness_worst is
@@ -314,133 +321,39 @@ class AdmissibilityReport:
         }
 
 
-def _eval_grid(fn, ps: np.ndarray) -> np.ndarray:
-    """Evaluate fn on ps, tolerating callables that only accept scalars or
-    that blow up at individual points (those points come back as nan)."""
-    try:
-        vals = np.asarray(fn(ps), dtype=float)
-        if vals.shape == ps.shape:
-            return vals
-    except (ValueError, TypeError, ArithmeticError):
-        pass
-    out = np.empty_like(ps)
-    for i, p in enumerate(ps):
-        try:
-            out[i] = float(fn(float(p)))
-        except (ValueError, TypeError, ArithmeticError):
-            out[i] = math.nan
-    return out
-
-
-# the admissibility integral's panels, and its check grid, end at p = 1 - 2**-k
-# for k <= _DYADIC_DEPTH; below width 2**-39 a 65-point panel loses distinct nodes
+# the check grid ends with the points 1 - 2**-k beyond the uniform points, for
+# k <= _DYADIC_DEPTH; `srm validate` reports the worst points of this grid,
+# and its output is pinned, so the grid stays as it is
 _DYADIC_DEPTH = 39
 
 
-def _panel_simpson(fn, lo: float, hi: float, n: int = 65) -> float:
-    xs = np.linspace(lo, hi, n)
-    ys = _eval_grid(fn, xs)
-    coef = np.full(n, 2.0)
-    coef[1::2] = 4.0
-    coef[0] = coef[-1] = 1.0
-    h = (hi - lo) / (n - 1)
-    return float(coef @ ys) * h / 3.0
-
-
-def _refine_panel(fn, lo, hi, whole, tol, depth=48):
-    mid = 0.5 * (lo + hi)
-    left = _panel_simpson(fn, lo, mid)
-    right = _panel_simpson(fn, mid, hi)
-    delta = left + right - whole
-    if not math.isfinite(delta):
-        return math.nan
-    if abs(delta) <= 15.0 * tol or depth <= 0:
-        return left + right + delta / 15.0
-    return (
-        _refine_panel(fn, lo, mid, left, 0.5 * tol, depth - 1)
-        + _refine_panel(fn, mid, hi, right, 0.5 * tol, depth - 1)
-    )
-
-
-def _weight_integral(fn, tol: float = 1e-14) -> float:
-    """Integrate a callable weight over [0, 1]; a WeightSpec's is closed form.
-
-    Panel k spans [1 - 2**(1 - k), 1 - 2**-k], so the widths halve toward
-    p = 1 and integrable singularities there (the power family for small
-    c) stay outside every evaluated panel.  The march ends at k =
-    _DYADIC_DEPTH; the tail beyond is completed as a geometric sum with
-    the ratio of the last two panels.  That completion is exact for a
-    power-law tail, which is the singular case, and for a weight that is
-    flat near p = 1, as a steep exponential is on the scale of the last
-    panels.  It carries no error bound: it reaches exponentials up to a of
-    about 1e8, and a steeper weight's mass lies beyond what it extrapolates.
-    """
-    total = part = rest = 0.0
-    for k in range(1, _DYADIC_DEPTH + 1):
-        lo, hi = 1.0 - 2.0 ** (1 - k), 1.0 - 2.0**-k
-        prev, part = part, _refine_panel(fn, lo, hi, _panel_simpson(fn, lo, hi), tol)
-        total += part
-        if not math.isfinite(total):
-            return total
-        ratio = part / prev if prev != 0.0 else 0.0
-        rest = 0.0
-        if 0.0 < ratio < 1.0:
-            rest = part * ratio / (1.0 - ratio)
-            if abs(rest) < 1e-9:
-                break
-    return total + rest
-
-
-def check_admissibility(candidate, grid_size: int = 1001) -> AdmissibilityReport:
-    """Check a WeightSpec or callable against the admissibility conditions.
+def check_admissibility(spec: WeightSpec, grid_size: int = 1001) -> AdmissibilityReport:
+    """Check a WeightSpec against the admissibility conditions.
 
     Positivity and increasingness are checked on grid_size uniform points
     strictly inside (0, 1) and the points 1 - 2**-k beyond them, up to
-    2**-39 from p = 1; non-finite values fail checks, never raise.  A
-    WeightSpec's unit mass and strict rise are fixed by its construction:
-    every family is normalised, and every family but flat rises.  A
-    callable is integrated by _weight_integral, and its rise is read from
-    the grid.
+    2**-39 from p = 1.  Unit mass and strict rise are fixed by the spec's
+    construction: every family is normalised, and every family but flat
+    rises.
     """
     if grid_size < 3:
         raise ValueError("grid_size must be at least 3")
-    if isinstance(candidate, WeightSpec):
-        fn = lambda p: weight(candidate, p)
-        integral, spec_rise = 1.0, candidate.family != "flat"
-    elif callable(candidate):
-        fn, integral, spec_rise = candidate, _weight_integral(candidate), False
-    else:
-        raise TypeError("candidate must be a WeightSpec or a callable of p")
+    if not isinstance(spec, WeightSpec):
+        raise TypeError(f"spec must be a WeightSpec, not {type(spec).__name__}")
     ps = np.linspace(0.0, 1.0, grid_size + 2)[1:-1]
     dyadic = 1.0 - 2.0 ** -np.arange(1.0, _DYADIC_DEPTH + 1)
     ps = np.concatenate((ps, dyadic[dyadic > ps[-1]]))
-    vals = _eval_grid(fn, ps)
-
-    finite = np.isfinite(vals)
-    if np.all(finite):
-        i = int(np.argmin(vals))
-        positivity = bool(vals[i] >= 0.0)
-    else:
-        i = int(np.argmax(~finite))
-        positivity = False
-    positivity_worst = (float(ps[i]), float(vals[i]))
-
+    vals = weight(spec, ps)
     rises = np.diff(vals)
-    with np.errstate(invalid="ignore"):
-        increasingness = bool(np.all(rises >= -1e-12))
-        strict_rise = spec_rise or bool(np.any(rises > 0.0))
-    j = int(np.argmin(rises))  # argmin ranks a nan, a failed rise, below every number
-    increasingness_worst = (float(ps[j]), float(ps[j + 1]), float(rises[j]))
-
-    normalisation = bool(math.isfinite(integral) and abs(integral - 1.0) <= 1e-6)
-
+    i = int(np.argmin(vals))
+    j = int(np.argmin(rises))
     return AdmissibilityReport(
-        positivity=positivity,
-        positivity_worst=positivity_worst,
-        normalisation=normalisation,
-        normalisation_integral=float(integral),
-        increasingness=increasingness,
-        increasingness_worst=increasingness_worst,
-        strict_rise=strict_rise,
+        positivity=bool(vals[i] >= 0.0),
+        positivity_worst=(float(ps[i]), float(vals[i])),
+        normalisation=True,
+        normalisation_integral=1.0,
+        increasingness=bool(np.all(rises >= -1e-12)),
+        increasingness_worst=(float(ps[j]), float(ps[j + 1]), float(rises[j])),
+        strict_rise=spec.family != "flat",
         grid_size=grid_size,
     )

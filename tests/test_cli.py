@@ -376,6 +376,50 @@ def test_validate_and_weights_keep_the_library_defaults(tmp_path, capsys):
     assert [(float(p), float(w)) for p, w in rows] == expected
 
 
+_VALIDATE_POWER_0_1 = """\
+{
+  "positivity": true,
+  "positivity_worst_p": 0.000998003992015968,
+  "positivity_worst_value": 0.10008990560054082,
+  "normalisation": true,
+  "normalisation_integral": 1.0,
+  "increasingness": true,
+  "increasingness_worst_p_left": 0.000998003992015968,
+  "increasingness_worst_p_right": 0.001996007984031936,
+  "increasingness_worst_rise": 9.007641264535682e-05,
+  "strict_rise": true,
+  "grid_size": 1001,
+  "admissible": true
+}
+"""
+
+_VALIDATE_ES_0_95 = """\
+{
+  "positivity": true,
+  "positivity_worst_p": 0.000998003992015968,
+  "positivity_worst_value": 0.0,
+  "normalisation": true,
+  "normalisation_integral": 1.0,
+  "increasingness": true,
+  "increasingness_worst_p_left": 0.000998003992015968,
+  "increasingness_worst_p_right": 0.001996007984031936,
+  "increasingness_worst_rise": 0.0,
+  "strict_rise": true,
+  "grid_size": 1001,
+  "admissible": true
+}
+"""
+
+
+@pytest.mark.parametrize("flags, expected", [
+    (["--family", "power", "--c", "0.1"], _VALIDATE_POWER_0_1),
+    (["--family", "es", "--alpha", "0.95"], _VALIDATE_ES_0_95),
+])
+def test_validate_output_is_pinned_byte_for_byte(flags, expected, capsys):
+    code, out, err = run(["validate"] + flags, capsys)
+    assert (code, out, err) == (0, expected, "")
+
+
 def test_validate_can_write_to_a_file(tmp_path, capsys):
     out = tmp_path / "report.json"
     code, stdout, _ = run(["validate", "--family", "es", "--alpha", "0.95",

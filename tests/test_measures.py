@@ -156,6 +156,10 @@ def test_lpm_input_validation():
         lpm([1.0, math.inf], 0.0, 1)
     with pytest.raises(ValueError, match="order"):
         lpm([1.0], 0.0, -1)
+    with pytest.raises(ValueError, match="order"):
+        lpm([1.0, 2.0, 3.0], 2.0, math.nan)
+    with pytest.raises(ValueError, match="target"):
+        lpm([1.0, 2.0, 3.0], math.nan, 1)
 
 
 @given(st.lists(st.floats(-100.0, 100.0), min_size=1, max_size=30),
