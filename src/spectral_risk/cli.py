@@ -16,6 +16,7 @@ import argparse
 import dataclasses
 import inspect
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -33,6 +34,12 @@ __all__ = ["main", "build_parser"]
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise ValueError(message)
+
+    def _parse_optional(self, arg_string):
+        # a value such as -1e-3, -inf or -1:2:3, which argparse reads as an option
+        if re.match(r"-[\d.in]", arg_string):
+            return None
+        return super()._parse_optional(arg_string)
 
 
 def _add_source_args(sp):

@@ -190,11 +190,18 @@ def _interpolate(samples: np.ndarray, p):
     m = samples.size
     if m == 1:
         return np.full(np.shape(p), samples[0])
-    t = np.asarray(p, dtype=float) * (m - 1)
-    j = np.minimum(t.astype(np.intp), m - 2)
+    # t and j are arrays even at 0-d, so that they can be formed in place
+    t = np.multiply(p, m - 1, out=np.empty(np.shape(p)))
+    j = t.astype(np.intp)
+    np.minimum(j, m - 2, out=j)
     x = samples[j]
     # samples[1:][j] is samples[j + 1] without building j + 1
-    return x + (t - j) * (samples[1:][j] - x)
+    d = samples[1:][j]
+    d -= x
+    t -= j
+    d *= t
+    d += x
+    return d
 
 
 def quantile(source: QuantileSource, p):
@@ -223,8 +230,11 @@ def _quantile_pair(source: QuantileSource, p, p_mirror):
     the lower-tail p where it is accurate, and reflects it for the mirror;
     an empirical source interpolates at both."""
     if source.kind == "normal":
-        dz = source.sd * inverse_normal_cdf(p)
-        return source.mean + dz, source.mean - dz
+        dz = inverse_normal_cdf(p)
+        dz *= source.sd
+        q_mirror = source.mean - dz
+        dz += source.mean
+        return dz, q_mirror
     return _interpolate(source.samples, p), _interpolate(source.samples, p_mirror)
 
 

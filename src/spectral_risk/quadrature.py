@@ -7,22 +7,23 @@ is singular at p = 1.  It evaluates the two endpoints once, as scalars,
 and the interior in one pass over the lower half of the grid, in chunks
 whose temporaries stay under the allocator's mmap threshold, with each
 node paired with its mirror 1 - p: a normal source then needs one
-inverse-normal evaluation per pair, and a chunk whose weights are zero at
-every node and mirror, as expected shortfall's are below alpha, evaluates
-no quantile at all.  The converged scheme picks its
-evaluator by what the source is.  A piecewise-linear
-source has an exact closed form in the integrated weight mass, so its
-only error is float rounding, which it bounds.  A normal source is
-integrated in weight-mass space, where the weight leaves the integrand
-and every family's p = 1 singularity becomes a mild logarithmic one that
-a tanh-sinh rule absorbs; its error is the measured difference between
-successive levels.  A Monte Carlo estimator that draws the weight mass
-uniformly through the same map gives an independent cross-check, biased
-low where the weight holds mass beyond p = 1 - 1e-16.  It processes each
-seeded stream in pieces of the replication chunk size and adds the
-pieces' sums in np.sum's pairwise order, so its temporaries also stay
-under the mmap threshold and a seeded result does not depend on the
-piece size.
+inverse-normal evaluation per pair.  A chunk whose weights are zero at
+every node and mirror evaluates no quantile, and the pass stops at the
+first chunk whose mirrors all lie below expected shortfall's alpha, as
+every later chunk's do.  The kernel weighs its own nodes without the
+weight's range check.  The converged scheme picks its evaluator by what
+the source is.  A piecewise-linear source has an exact closed form in the
+integrated weight mass, so its only error is float rounding, which it
+bounds.  A normal source is integrated in weight-mass space, where the
+weight leaves the integrand and every family's p = 1 singularity becomes a
+mild logarithmic one that a tanh-sinh rule absorbs; its error is the
+measured difference between successive levels.  A Monte Carlo estimator
+that draws the weight mass uniformly through the same map gives an
+independent cross-check, biased low where the weight holds mass beyond
+p = 1 - 1e-16.  It processes each seeded stream in pieces of the
+replication chunk size and adds the pieces' sums in np.sum's pairwise
+order, so its temporaries also stay under the mmap threshold and a seeded
+result does not depend on the piece size.
 """
 
 from __future__ import annotations
@@ -46,6 +47,8 @@ from .risk_aversion import (
     WeightSpec,
     _log_tail_probability,
     _mass_integral,
+    _weight,
+    _zero_below,
     weight,
 )
 
@@ -144,7 +147,8 @@ def _not_finite(x: float) -> NumericalError:
     return NumericalError(f"integrand not finite at node x = {float(x)!r}")
 
 
-def _chunked_simpson(eval_pair, y_lo: float, y_hi: float, lo: float, hi: float, n: int) -> float:
+def _chunked_simpson(eval_pair, y_lo: float, y_hi: float, lo: float, hi: float, n: int,
+                     zero_below: float = -math.inf) -> float:
     """Composite Simpson over n grid points, folded about the midpoint.
 
     n is odd, so node k and its mirror n - 1 - k carry the same Simpson
@@ -153,7 +157,9 @@ def _chunked_simpson(eval_pair, y_lo: float, y_hi: float, lo: float, hi: float, 
     rather than mapped afresh: eval_pair(x, x_mirror) returns the integrand
     at a chunk's nodes and at their mirrors, and the middle node, its own
     mirror, is counted once.  eval_pair may overwrite x and x_mirror with
-    the nodes it evaluates, which an error then names.
+    the nodes it evaluates, which an error then names.  The pass stops at
+    the first chunk whose largest mirror lies below zero_below, where
+    eval_pair must be zero on and after it, and adds the +0.0 they sum to.
     Chunks start at odd k, so a chunk's even and odd positions are the
     nodes of coefficient 4 and 2, summed as two strided sums.  The
     endpoint values y_lo and y_hi, at lo and hi, are passed in as scalars.
@@ -167,6 +173,9 @@ def _chunked_simpson(eval_pair, y_lo: float, y_hi: float, lo: float, hi: float, 
     mid = (n - 1) // 2
     total = y_lo + y_hi
     for start in range(1, mid + 1, _CHUNK):
+        if (n - 1 - start) * h + lo < zero_below:
+            total += 0.0  # turns a total of -0.0 into +0.0
+            break
         stop = min(start + _CHUNK, mid + 1)
         x = np.arange(start, stop, dtype=float)
         x_mirror = np.subtract(n - 1, x)
@@ -234,9 +243,9 @@ def srm_replication(
     n = config.n_points
 
     def integrand(p, p_mirror):
-        w, w_mirror = weight(spec, p), weight(spec, p_mirror)
-        # weights are non-negative, and 0 q adds 0 for every finite q: a
-        # chunk that both halves weigh at zero needs no quantile
+        w, w_mirror = _weight(spec, p), _weight(spec, p_mirror)
+        # weights are non-negative, and 0 q adds 0 for every finite q: a chunk
+        # weighed at zero throughout, as by an exponential that underflows, needs no quantile
         if w_mirror.max() == 0.0 and w.max() == 0.0:
             return w, w_mirror
         q, q_mirror = _quantile_pair(source, p, p_mirror)
@@ -264,7 +273,7 @@ def srm_replication(
         y_lo = _endpoint_integrand(source, spec, 0.0)
         y_hi = _endpoint_integrand(source, spec, 1.0)
 
-    value = _chunked_simpson(eval_pair, y_lo, y_hi, 0.0, 1.0, n)
+    value = _chunked_simpson(eval_pair, y_lo, y_hi, 0.0, 1.0, n, _zero_below(spec))
     return QuadratureResult(
         value=value,
         n_points=n,

@@ -144,20 +144,33 @@ def weight(spec: WeightSpec, p):
     """
     arr = np.asarray(p, dtype=float)
     _check_unit_interval(arr)
+    if spec.family == "power" and np.any(arr == 1.0):
+        raise SingularityError("power weight diverges at p = 1")
+    out = _weight(spec, arr)
+    return float(out) if arr.ndim == 0 else out
+
+
+def _weight(spec: WeightSpec, p: np.ndarray) -> np.ndarray:
+    """The weight at a float array p in [0, 1], below 1 for power, unchecked."""
     fam = spec.family
+    if fam == "es":
+        return np.where(p >= spec.alpha, spec.lambda_, 0.0)
+    if fam == "flat":
+        return np.ones_like(p)
+    # formed in place, in an out= array even at 0-d: np.exp(out=) refuses a numpy scalar
+    out = np.subtract(1.0, p, out=np.empty_like(p))
     if fam == "exponential":
-        out = spec.lambda_ * np.exp(-spec.a * (1.0 - arr))
-    elif fam == "power":
-        if np.any(arr == 1.0):
-            raise SingularityError("power weight diverges at p = 1")
-        out = spec.lambda_ * (1.0 - arr) ** (spec.c - 1.0)
-    elif fam == "es":
-        out = np.where(arr >= spec.alpha, spec.lambda_, 0.0)
+        out *= -spec.a
+        np.exp(out, out=out)
     else:
-        out = np.ones_like(arr)
-    if arr.ndim == 0:
-        return float(out)
+        np.power(out, spec.c - 1.0, out=out)
+    out *= spec.lambda_
     return out
+
+
+def _zero_below(spec: WeightSpec) -> float:
+    """The p below which the weight is zero: alpha for es, 0 for the others."""
+    return spec.alpha if spec.family == "es" else 0.0
 
 
 def weight_mass(spec: WeightSpec, p):

@@ -48,6 +48,24 @@ def test_compute_var(capsys):
     assert out == "1.644854\n"
 
 
+def test_negative_values_follow_their_flags(tmp_path, capsys):
+    # argparse reads a token such as -1e-3 as an option unless it is a plain decimal
+    code, out, _ = run(["compute", "--measure", "var", "--alpha", "0.95",
+                        "--dist", "normal", "--mean", "-1e-3"], capsys)
+    assert (code, out) == (0, "1.643854\n")
+    code, out, _ = run(["compute", "--measure", "srm", "--family", "flat",
+                        "--dist", "constant", "--value", "-5E2", "--n", "101"], capsys)
+    assert (code, out) == (0, "-500.000000\n")
+    # values that reach the library and fail its own checks
+    code, _, err = run(["compute", "--measure", "srm", "--family", "flat", "--n", "101",
+                        "--dist", "uniform", "--lo", "-inf", "--hi", "1"], capsys)
+    assert code == 1
+    assert "must be finite" in err
+    code, _, err = run(["sweep", "--family", "power", "--grid", "-1:2:3",
+                        "--out", str(tmp_path / "sweep.csv")], capsys)
+    assert (code, err) == (1, "error: c must lie in (0, 1)\n")
+
+
 def test_compute_srm_exponential_on_an_explicit_grid(capsys):
     argv = ["compute", "--measure", "srm", "--family", "exponential",
             "--a", "5", "--n", "100001"]

@@ -33,7 +33,7 @@ from spectral_risk import (
     weight,
     weight_mass,
 )
-from spectral_risk import distributions
+from spectral_risk import distributions, quadrature
 from spectral_risk.distributions import _quantile_pair, _upper_quantile
 from spectral_risk.quadrature import _CHUNK, _endpoint_integrand, _tanh_sinh
 from spectral_risk.risk_aversion import _log_tail_probability
@@ -234,19 +234,28 @@ def test_replication_matches_the_whole_grid_simpson_reference(source, spec, poli
         assert abs(got - ref) <= max(1e-12 * abs(ref), 1e-15), n
 
 
-@pytest.mark.parametrize("policy", ["zero_endpoints", "clip_epsilon"])
+@pytest.mark.parametrize("policy,eps", [
+    ("zero_endpoints", QuadratureConfig.epsilon),
+    ("clip_epsilon", QuadratureConfig.epsilon),
+    # mirrors clipped to 0.9: es(0.95) weighs every node at zero, in chunks not cut
+    ("clip_epsilon", 0.1),
+], ids=["zero_endpoints", "clip_epsilon", "clip_epsilon-0.1"])
 @pytest.mark.parametrize("source", [
     normal(0.3, 1.2),
     load_empirical(np.random.default_rng(29).normal(0.3, 1.2, 500)),
     constant(4.2),
-], ids=["normal", "empirical-500", "constant"])
-def test_replication_matches_the_every_node_reference_bitwise(source, policy):
-    # chunks whose weights are all zero skip their quantiles and still give
-    # the bits of the loop that evaluates every node
-    eps = QuadratureConfig.epsilon
+    # every integrand value is a zero, whose sign the sum must keep
+    constant(-0.0),
+], ids=["normal", "empirical-500", "constant", "constant-negative-zero"])
+def test_replication_matches_the_every_node_reference_bitwise(source, policy, eps):
+    # chunks whose weights are all zero skip their quantiles, and the chunks
+    # from the first whose mirrors all lie below es's alpha are not built,
+    # and still give the bits of the loop that evaluates every node
     specs = [
         WeightSpec.exponential(a=5.0), WeightSpec.power(0.5), WeightSpec.flat(),
-        WeightSpec.es(0.3), WeightSpec.es(0.95),
+        # no chunk is cut at 0.3 and 0.5, every chunk after the first is cut
+        # at 0.95 for n > 2 _CHUNK, and every chunk is cut at 1 - 1e-13
+        WeightSpec.es(0.3), WeightSpec.es(0.5), WeightSpec.es(0.95), WeightSpec.es(1 - 1e-13),
         # at n = 100,001 the third chunk's mirrors run from 0.836 down to 0.754
         WeightSpec.es(0.8),
     ]
@@ -266,27 +275,36 @@ def test_replication_matches_the_every_node_reference_bitwise(source, policy):
 
 
 def test_replication_evaluates_the_quantiles_of_weighted_chunks_only(monkeypatch):
-    nodes = []
-    inverse_normal_cdf = distributions.inverse_normal_cdf
+    nodes, weighed = [], []
+    inverse_normal_cdf, unchecked_weight = distributions.inverse_normal_cdf, quadrature._weight
 
-    def counted(p):
+    def counted_quantiles(p):
         nodes.append(np.size(p))
         return inverse_normal_cdf(p)
 
-    monkeypatch.setattr(distributions, "inverse_normal_cdf", counted)
+    def counted_weights(spec, p):
+        weighed.append(np.size(p))
+        return unchecked_weight(spec, p)
+
+    monkeypatch.setattr(distributions, "inverse_normal_cdf", counted_quantiles)
+    monkeypatch.setattr(quadrature, "_weight", counted_weights)
     n = (1 << 17) + 1
     half = (n - 1) // 2
+    chunks = half // _CHUNK
 
     def evaluated(spec):
         nodes.clear()
+        weighed.clear()
         srm_replication(standard_normal(), spec, QuadratureConfig(n_points=n))
-        return sum(nodes)
+        return sum(nodes), weighed
 
+    assert chunks == 8
     # the first chunk's mirrors run down to 1 - _CHUNK / 2**17 = 0.9375 and
-    # reach 0.95; the other chunks' nodes and mirrors all lie below it
-    assert evaluated(WeightSpec.es(0.95)) == _CHUNK
-    assert evaluated(WeightSpec.es(0.3)) == half
-    assert evaluated(WeightSpec.exponential(a=5.0)) == half
+    # reach 0.95; the second chunk's start below 0.95, so the pass stops
+    # there, having weighed the nodes and the mirrors of one chunk
+    assert evaluated(WeightSpec.es(0.95)) == (_CHUNK, [_CHUNK] * 2)
+    assert evaluated(WeightSpec.es(0.3)) == (half, [_CHUNK] * 2 * chunks)
+    assert evaluated(WeightSpec.exponential(a=5.0)) == (half, [_CHUNK] * 2 * chunks)
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="minor fault counts are read from Linux getrusage")

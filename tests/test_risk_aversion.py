@@ -20,6 +20,7 @@ from spectral_risk import (
     weight_mass,
 )
 from spectral_risk.cli import main
+from spectral_risk.risk_aversion import _weight, _zero_below
 
 
 def test_weight_spec_param_validation():
@@ -74,6 +75,37 @@ def test_weight_vector_matches_scalar():
     ws = weight(spec, ps)
     for p, w in zip(ps, ws):
         assert w == weight(spec, float(p))
+
+
+_OPEN_UNIT = {"min_value": 0.0, "max_value": 1.0, "exclude_min": True, "exclude_max": True}
+_SPECS = st.one_of(
+    st.floats(min_value=0.0, exclude_min=True, allow_infinity=False).map(WeightSpec.exponential),
+    st.floats(**_OPEN_UNIT).map(WeightSpec.power),
+    st.floats(**_OPEN_UNIT).map(WeightSpec.es),
+    st.just(WeightSpec.flat()),
+)
+_PROBABILITIES = st.one_of(
+    st.floats(min_value=0.0, max_value=1.0).map(np.array),
+    st.lists(st.floats(min_value=0.0, max_value=1.0), max_size=20).map(np.array),
+)
+
+
+@given(_SPECS, _PROBABILITIES)
+def test_weight_is_the_unchecked_form_and_zero_only_where_stated(spec, p):
+    if spec.family == "power":
+        # the power weight diverges at p = 1
+        p = np.minimum(p, np.nextafter(1.0, 0.0))
+    w = np.asarray(weight(spec, p))
+    unchecked = _weight(spec, p)
+    assert unchecked.shape == p.shape
+    assert unchecked.tobytes() == w.tobytes()
+    zero = p < _zero_below(spec)
+    assert np.all(w[zero] == 0.0)
+    positive = ~zero & (p < 1.0)
+    if spec.family == "exponential":
+        # lambda >= 1, so the weight stays positive while exp(-a (1 - p)) does
+        positive &= spec.a * (1.0 - p) < 700.0
+    assert np.all(w[positive] > 0.0)
 
 
 def test_power_weight_raises_at_one():
