@@ -8,11 +8,10 @@ quantile queries for probabilities strictly inside (0, 1).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.special import ndtri, ndtri_exp
 
 from .errors import DataError
 
@@ -36,23 +35,30 @@ _ENCODING = "utf-8-sig"
 _DEEPEST_Z = 38.5
 
 
-def inverse_normal_cdf(p):
+def inverse_normal_cdf(p, out=None):
     """Standard normal quantile for p in (0, 1), scalar or array.
 
     Computed by scipy's ndtri on the lower half and exactly antisymmetric:
     the upper half reflects the lower half, and 1 - p is exact for p >= 0.5.
     Input that lies wholly in the lower half, as the replication kernel's
-    does, goes to ndtri as it is, which is the reflection bit for bit.
+    does, goes to ndtri as it is, which is the reflection bit for bit.  An
+    array result is written into out when it is given.  scipy.special, two
+    thirds of the time a fresh `import spectral_risk` would otherwise take,
+    is imported on the first call, here and in the two other normal
+    branches that use it, so a process that evaluates only sample sources
+    never loads it.
     """
+    from scipy.special import ndtri
+
     arr = np.asarray(p, dtype=float)
     # the initial value lets an empty array pass; a nan fails both tests
     lo, hi = arr.min(initial=0.5), arr.max(initial=0.5)
     if not (lo > 0.0 and hi < 1.0):
         raise ValueError("probability must lie strictly inside (0, 1)")
     if hi <= 0.5:
-        z = ndtri(arr)
+        z = ndtri(arr, out=out)
     else:
-        z = np.copysign(ndtri(np.minimum(arr, 1.0 - arr)), arr - 0.5)
+        z = np.copysign(ndtri(np.minimum(arr, 1.0 - arr)), arr - 0.5, out=out)
     return float(z) if arr.ndim == 0 else z
 
 
@@ -89,6 +95,10 @@ class QuantileSource:
                 raise ValueError("empirical source needs at least one sample")
             if not math.isfinite(float(self.samples.max()) - float(self.samples.min())):
                 raise ValueError("empirical samples must be finite, and so must their range")
+            # np.diff's own subtraction, without its argument handling
+            steps = np.subtract(self.samples[1:], self.samples[:-1])
+            steps.flags.writeable = False
+            object.__setattr__(self, "steps", steps)
 
 
 def _empirical(samples: np.ndarray) -> QuantileSource:
@@ -181,27 +191,36 @@ def _parse_lines(path, lines: list, start: int) -> list:
     return losses
 
 
-def _interpolate(samples: np.ndarray, p):
-    """Order-statistic interpolation at p in [0, 1]; a single sample is flat.
+def _interpolate(source: QuantileSource, p, out=None, work=None):
+    """Order-statistic interpolation at the array p in [0, 1]; a single
+    sample is flat.
 
     The m samples are knots at the uniform p = j / (m - 1), so p falls in
-    segment j = floor(p (m - 1)), and p = 1 ends the last segment.
+    segment j = floor(p (m - 1)), and p = 1 ends the last segment; the value
+    is samples[j] + steps[j] (p (m - 1) - j).  It is written into out, and
+    work, a float and an intp array shaped like p, holds the intermediates;
+    each is allocated when not given.
     """
-    m = samples.size
+    samples, m = source.samples, source.samples.size
+    if out is None:
+        out = np.empty(np.shape(p))
     if m == 1:
-        return np.full(np.shape(p), samples[0])
-    # t and j are arrays even at 0-d, so that they can be formed in place
-    t = np.multiply(p, m - 1, out=np.empty(np.shape(p)))
-    j = t.astype(np.intp)
-    np.minimum(j, m - 2, out=j)
-    x = samples[j]
-    # samples[1:][j] is samples[j + 1] without building j + 1
-    d = samples[1:][j]
-    d -= x
-    t -= j
-    d *= t
-    d += x
-    return d
+        out.fill(samples[0])
+        return out
+    step, j = (np.empty(np.shape(p)), np.empty(np.shape(p), dtype=np.intp)) if work is None else work
+    t = np.multiply(p, m - 1, out=out)
+    # the segment is found as a float and then copied to j, since t -= j would
+    # cast j to float through a temporary
+    np.floor(t, out=step)
+    np.minimum(step, m - 2, out=step)
+    np.copyto(j, step, casting="unsafe")
+    t -= step
+    # j lies in [0, m - 2], so clip changes nothing, and lets take write out directly
+    np.take(source.steps, j, out=step, mode="clip")
+    step *= t
+    np.take(samples, j, out=out, mode="clip")
+    out += step
+    return out
 
 
 def quantile(source: QuantileSource, p):
@@ -212,30 +231,34 @@ def quantile(source: QuantileSource, p):
     if source.kind == "normal":
         out = source.mean + source.sd * inverse_normal_cdf(arr)
     else:
-        out = _interpolate(source.samples, arr)
+        out = _interpolate(source, arr)
     return float(out) if arr.ndim == 0 else out
 
 
 def _limit_quantile(source: QuantileSource, p: float) -> float:
     """Limit of the quantile as p approaches 0 or 1; may be infinite."""
     if source.kind == "normal":
+        from scipy.special import ndtri
+
         # ndtri maps the closed endpoints to -inf and inf
         return source.mean + source.sd * float(ndtri(p))
     return float(source.samples[0] if p == 0.0 else source.samples[-1])
 
 
-def _quantile_pair(source: QuantileSource, p, p_mirror):
+def _quantile_pair(source: QuantileSource, p, p_mirror, out=(None, None), work=None):
     """Quantiles at the arrays p <= 1/2 and p_mirror, their mirrors 1 - p
-    up to rounding.  A normal source evaluates the inverse normal once, at
-    the lower-tail p where it is accurate, and reflects it for the mirror;
-    an empirical source interpolates at both."""
+    up to rounding, written into the pair of arrays out when it is given.
+    A normal source evaluates the inverse normal once, at the lower-tail p
+    where it is accurate, and reflects it for the mirror; an empirical
+    source interpolates at both, with work as _interpolate's."""
+    q, q_mirror = out
     if source.kind == "normal":
-        dz = inverse_normal_cdf(p)
+        dz = inverse_normal_cdf(p, out=q)
         dz *= source.sd
-        q_mirror = source.mean - dz
+        q_mirror = np.subtract(source.mean, dz, out=q_mirror)
         dz += source.mean
         return dz, q_mirror
-    return _interpolate(source.samples, p), _interpolate(source.samples, p_mirror)
+    return _interpolate(source, p, q, work), _interpolate(source, p_mirror, q_mirror, work)
 
 
 def _upper_quantile(source: QuantileSource, log_t):
@@ -245,8 +268,10 @@ def _upper_quantile(source: QuantileSource, log_t):
     # t rounds to 1 at the bottom of the weight mass, and ndtri_exp(0) is inf
     log_t = np.minimum(log_t, -(2.0**-53))
     if source.kind == "normal":
+        from scipy.special import ndtri_exp
+
         return source.mean - source.sd * ndtri_exp(log_t)
-    return _interpolate(source.samples, -np.expm1(log_t))
+    return _interpolate(source, -np.expm1(log_t))
 
 
 def _standard_form(source: QuantileSource):

@@ -5,16 +5,17 @@ rule on a uniform probability grid with an explicit endpoint policy; it is
 simple, deterministic, and converges slowly from below when the integrand
 is singular at p = 1.  It evaluates the two endpoints once, as scalars,
 and the interior in one pass over the lower half of the grid, in chunks
-whose temporaries stay under the allocator's mmap threshold, with each
+whose arrays are the same in every pass, one set per thread, with each
 node paired with its mirror 1 - p: a normal source then needs one
-inverse-normal evaluation per pair.  A chunk whose weights are zero at
-every node and mirror evaluates no quantile, and the pass stops at the
-first chunk whose mirrors all lie below expected shortfall's alpha, as
-every later chunk's do.  The kernel weighs its own nodes without the
-weight's range check.  The converged scheme picks its evaluator by what
-the source is.  A piecewise-linear source has an exact closed form in the
-integrated weight mass, so its only error is float rounding, which it
-bounds.  A normal source is integrated in weight-mass space, where the
+inverse-normal evaluation per pair.  No chunk allocates, so no pass faults
+in pages afresh, whatever else the process has imported.  A chunk whose
+weights are zero at every node and mirror evaluates no quantile, and the
+pass stops at the first chunk whose mirrors all lie below expected
+shortfall's alpha, as every later chunk's do.  The kernel weighs its own
+nodes without the weight's range check.  The converged scheme picks its
+evaluator by what the source is.  A piecewise-linear source has an exact
+closed form in the integrated weight mass, so its only error is float
+rounding, which it bounds.  A normal source is integrated in weight-mass space, where the
 weight leaves the integrand and every family's p = 1 singularity becomes a
 mild logarithmic one that a tanh-sinh rule absorbs; its error is the
 measured difference between successive levels.  A Monte Carlo estimator
@@ -22,13 +23,14 @@ that draws the weight mass uniformly through the same map gives an
 independent cross-check, biased low where the weight holds mass beyond
 p = 1 - 1e-16.  It processes each seeded stream in pieces of the
 replication chunk size and adds the pieces' sums in np.sum's pairwise
-order, so its temporaries also stay under the mmap threshold and a seeded
-result does not depend on the piece size.
+order, so its temporaries stay under the allocator's mmap threshold and a
+seeded result does not depend on the piece size.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -63,19 +65,25 @@ __all__ = [
     "convergence_study",
 ]
 
-# lower-half nodes per replication chunk.  Each float64 or intp temporary
-# is then 64 KiB, under glibc's 128 KiB mmap threshold, so numpy takes it
-# from the heap's free lists.  At 1 << 14 and above every call maps fresh
-# pages and faults them in (847 faults per call at 1 << 16 on a 500-sample
-# source at n = 100,001, none at 1 << 13), and 1 << 12 is slower again.
-# The default 10M grid on a normal source takes about 0.18 s on a 2-core
-# x86 machine, against 0.21-0.29 s at 1 << 16.
+# lower-half nodes per replication chunk, and draws per Monte Carlo piece;
+# changing it changes how every replication sum is grouped.  A replication
+# pass writes every chunk-sized array into its thread's _Workspace, so a
+# chunk allocates nothing.  Temporaries freed on every chunk were faulted in
+# afresh whenever glibc trimmed the top of its heap, which it did unless
+# live objects, such as those scipy's import leaves, held that memory down:
+# a traced stress-batch query took about 11,600 faults in a process without
+# scipy, and about 3 with it or with the workspace.
 _CHUNK = 1 << 13
+# integer-valued offsets 0 .. _CHUNK - 1, from which each chunk's node
+# indices are formed exactly, as np.arange would form them
+_OFFSETS = np.arange(_CHUNK, dtype=float)
+_OFFSETS.flags.writeable = False
 # draws per Monte Carlo child stream; changing it changes every seeded result.
 # A stream is drawn and transformed in pieces of at most _CHUNK draws, so its
-# temporaries stay under the mmap threshold too (a whole stream as one array
-# faults in about 3,900 pages per million draws), and the pieces' sums are
-# added in np.sum's pairwise order, so no seeded result depends on _CHUNK
+# temporaries stay under glibc's 128 KiB mmap threshold (a whole stream as
+# one array faults in about 3,900 pages per million draws), and the pieces'
+# sums are added in np.sum's pairwise order, so no seeded result depends on
+# _CHUNK
 _MC_CHUNK = 1 << 20
 _ENDPOINT_POLICIES = ("zero_endpoints", "clip_epsilon")
 _SCHEMES = ("replication", "converged")
@@ -147,24 +155,45 @@ def _not_finite(x: float) -> NumericalError:
     return NumericalError(f"integrand not finite at node x = {float(x)!r}")
 
 
+class _Workspace(threading.local):
+    """The chunk-sized arrays of replication passes, made once per thread.
+
+    Every pass in a thread writes into the same arrays, so threads never
+    share them, and one pass must not start inside another in the same
+    thread.  floats holds eight rows: the nodes, their mirrors and the
+    Simpson values that _chunked_simpson forms, then the weights and the
+    quantiles at the nodes and at their mirrors and the interpolation step
+    that srm_replication's integrand forms; index holds interpolation's
+    segment numbers.
+    """
+
+    def __init__(self):
+        self.floats = np.empty((8, _CHUNK))
+        self.index = np.empty(_CHUNK, dtype=np.intp)
+
+
+_WORKSPACE = _Workspace()
+
+
 def _chunked_simpson(eval_pair, y_lo: float, y_hi: float, lo: float, hi: float, n: int,
-                     zero_below: float = -math.inf) -> float:
+                     zero_below: float = -math.inf, work=None) -> float:
     """Composite Simpson over n grid points, folded about the midpoint.
 
     n is odd, so node k and its mirror n - 1 - k carry the same Simpson
     coefficient.  One pass runs over the lower half in chunks of _CHUNK
-    nodes, small enough that every temporary is reused from the heap
-    rather than mapped afresh: eval_pair(x, x_mirror) returns the integrand
-    at a chunk's nodes and at their mirrors, and the middle node, its own
-    mirror, is counted once.  eval_pair may overwrite x and x_mirror with
-    the nodes it evaluates, which an error then names.  The pass stops at
-    the first chunk whose largest mirror lies below zero_below, where
-    eval_pair must be zero on and after it, and adds the +0.0 they sum to.
-    Chunks start at odd k, so a chunk's even and odd positions are the
-    nodes of coefficient 4 and 2, summed as two strided sums.  The
-    endpoint values y_lo and y_hi, at lo and hi, are passed in as scalars.
-    A value that is not finite raises NumericalError naming its node, as
-    do finite values whose sum overflows.
+    nodes, whose nodes, mirrors and Simpson values are written into the
+    three rows of work, a float array of at least the chunk's width,
+    allocated once when not given: eval_pair(x, x_mirror) returns the
+    integrand at a chunk's nodes and at their mirrors, and the middle node,
+    its own mirror, is counted once.  eval_pair may overwrite x and
+    x_mirror with the nodes it evaluates, which an error then names.  The
+    pass stops at the first chunk whose largest mirror lies below
+    zero_below, where eval_pair must be zero on and after it, and adds the
+    +0.0 they sum to.  Chunks start at odd k, so a chunk's even and odd
+    positions are the nodes of coefficient 4 and 2, summed as two strided
+    sums.  The endpoint values y_lo and y_hi, at lo and hi, are passed in
+    as scalars.  A value that is not finite raises NumericalError naming
+    its node, as do finite values whose sum overflows.
     """
     for x, y in ((lo, y_lo), (hi, y_hi)):
         if not math.isfinite(y):
@@ -172,19 +201,22 @@ def _chunked_simpson(eval_pair, y_lo: float, y_hi: float, lo: float, hi: float, 
     h = (hi - lo) / (n - 1)
     mid = (n - 1) // 2
     total = y_lo + y_hi
+    if work is None:
+        work = np.empty((3, min(_CHUNK, mid)))
     for start in range(1, mid + 1, _CHUNK):
         if (n - 1 - start) * h + lo < zero_below:
             total += 0.0  # turns a total of -0.0 into +0.0
             break
         stop = min(start + _CHUNK, mid + 1)
-        x = np.arange(start, stop, dtype=float)
-        x_mirror = np.subtract(n - 1, x)
+        x, x_mirror, y = work[:, :stop - start]
+        np.add(_OFFSETS[:stop - start], start, out=x)
+        np.subtract(n - 1, x, out=x_mirror)
         for nodes in (x, x_mirror):
             nodes *= h
             nodes += lo
         f, f_mirror = eval_pair(x, x_mirror)
         with np.errstate(over="ignore"):  # an overflowing sum is raised below
-            y = f + f_mirror
+            np.add(f, f_mirror, out=y)
             if stop == mid + 1:
                 y[-1] *= 0.5
             part = 4.0 * float(y[0::2].sum()) + 2.0 * float(y[1::2].sum())
@@ -242,13 +274,17 @@ def srm_replication(
         raise ValueError("config.scheme must be 'replication'")
     n = config.n_points
 
+    floats, index = _WORKSPACE.floats, _WORKSPACE.index
+
     def integrand(p, p_mirror):
-        w, w_mirror = _weight(spec, p), _weight(spec, p_mirror)
+        size = p.size
+        w, w_mirror, q, q_mirror, step = floats[3:, :size]
+        w, w_mirror = _weight(spec, p, w), _weight(spec, p_mirror, w_mirror)
         # weights are non-negative, and 0 q adds 0 for every finite q: a chunk
         # weighed at zero throughout, as by an exponential that underflows, needs no quantile
         if w_mirror.max() == 0.0 and w.max() == 0.0:
             return w, w_mirror
-        q, q_mirror = _quantile_pair(source, p, p_mirror)
+        q, q_mirror = _quantile_pair(source, p, p_mirror, (q, q_mirror), (step, index[:size]))
         with np.errstate(over="ignore"):  # _chunked_simpson names a node that overflows
             w *= q
             w_mirror *= q_mirror
@@ -273,7 +309,7 @@ def srm_replication(
         y_lo = _endpoint_integrand(source, spec, 0.0)
         y_hi = _endpoint_integrand(source, spec, 1.0)
 
-    value = _chunked_simpson(eval_pair, y_lo, y_hi, 0.0, 1.0, n, _zero_below(spec))
+    value = _chunked_simpson(eval_pair, y_lo, y_hi, 0.0, 1.0, n, _zero_below(spec), floats[:3])
     return QuadratureResult(
         value=value,
         n_points=n,
@@ -337,9 +373,11 @@ def _tanh_sinh(f, rel_tol: float, loc=0.0, scale=1.0, max_levels: int = 8) -> tu
     )
 
 
-def _closed_form(x: np.ndarray, spec: WeightSpec, rel_tol: float) -> tuple[float, float]:
+def _closed_form(x: np.ndarray, steps: np.ndarray, spec: WeightSpec,
+                 rel_tol: float) -> tuple[float, float]:
     """Spectral risk measure of the piecewise-linear quantile through
-    (k / (n - 1), x_k), exactly up to float rounding.
+    (k / (n - 1), x_k), whose rises x_{k+1} - x_k are steps, exactly up to
+    float rounding.
 
     Integrating by parts against the weight mass M gives
     x_max - sum_k s_k [G(p_{k+1}) - G(p_k)], where s_k is the slope of
@@ -359,7 +397,7 @@ def _closed_form(x: np.ndarray, spec: WeightSpec, rel_tol: float) -> tuple[float
         dp = 1.0 / (n - 1)
         # segment k spans upper-tail probabilities [(n - 2 - k) dp, (n - 1 - k) dp]
         mean_mass = _mass_integral(spec, np.arange(n - 2, -1, -1) * dp, dp) / dp
-        value -= float(np.sum(np.diff(x) * mean_mass))
+        value -= float(np.sum(steps * mean_mass))
         spread = float(x[-1] - x[0])
         # _EPS scales spread first: spread times the level count can overflow
         err = _EPS * 2.0 * size + (math.log2(n) + 32.0) * (_EPS * spread)
@@ -401,7 +439,7 @@ def srm_converged(
             lambda w: _upper_quantile(source, _log_tail_probability(spec, w)), rel_tol, loc, scale
         )
     else:
-        value, err = _closed_form(x, spec, rel_tol)
+        value, err = _closed_form(x, source.steps, spec, rel_tol)
         evals = x.size
     return QuadratureResult(
         value=value,

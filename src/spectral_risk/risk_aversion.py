@@ -150,20 +150,26 @@ def weight(spec: WeightSpec, p):
     return float(out) if arr.ndim == 0 else out
 
 
-def _weight(spec: WeightSpec, p: np.ndarray) -> np.ndarray:
-    """The weight at a float array p in [0, 1], below 1 for power, unchecked."""
+def _weight(spec: WeightSpec, p: np.ndarray, out=None) -> np.ndarray:
+    """The weight at a float array p in [0, 1], below 1 for power, unchecked,
+    written into out, a float array shaped like p, when it is given."""
     fam = spec.family
-    if fam == "es":
-        return np.where(p >= spec.alpha, spec.lambda_, 0.0)
-    if fam == "flat":
-        return np.ones_like(p)
     # formed in place, in an out= array even at 0-d: np.exp(out=) refuses a numpy scalar
-    out = np.subtract(1.0, p, out=np.empty_like(p))
-    if fam == "exponential":
-        out *= -spec.a
-        np.exp(out, out=out)
+    if out is None:
+        out = np.empty_like(p)
+    if fam == "flat":
+        out.fill(1.0)
+        return out
+    if fam == "es":
+        # 1.0 or 0.0 at each node, times lambda: lambda or +0.0
+        np.greater_equal(p, spec.alpha, out=out)
     else:
-        np.power(out, spec.c - 1.0, out=out)
+        np.subtract(1.0, p, out=out)
+        if fam == "exponential":
+            out *= -spec.a
+            np.exp(out, out=out)
+        else:
+            np.power(out, spec.c - 1.0, out=out)
     out *= spec.lambda_
     return out
 

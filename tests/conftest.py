@@ -1,10 +1,20 @@
 """Shared pytest configuration.
 
 Tests marked acceptance(num, label) feed a summary section that prints one
-PASS or FAIL line per acceptance criterion at the end of the run.
+PASS or FAIL line per acceptance criterion at the end of the run.  The
+fresh_python fixture runs code in a new interpreter that imports the
+spectral_risk under test, for what only a fresh process shows: the modules
+a command loads and the page faults of a process.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
+
+import spectral_risk
 
 _RESULTS = {}
 
@@ -38,3 +48,18 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         label, ok = _RESULTS[num]
         tag = "PASS" if ok else "FAIL"
         terminalreporter.write_line(f"[{tag}] criterion {num}: {label}")
+
+
+@pytest.fixture
+def fresh_python():
+    """run(code) runs code in a fresh interpreter and returns its stdout;
+    the run must exit 0."""
+    path = [str(Path(spectral_risk.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+
+    def run(code: str) -> str:
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        assert done.returncode == 0, done.stderr
+        return done.stdout
+
+    return run

@@ -561,6 +561,28 @@ def test_subadd_can_write_to_a_file(tmp_path, capsys):
     assert report["trials"] == 3
 
 
+@pytest.mark.parametrize("argv,loads_scipy", [
+    (["compute", "--measure", "srm", "--family", "exponential", "--a", "5", "--dist", "empirical",
+      "--input", "LOSSES", "--n", "1001"], False),
+    (["subadd", "--family", "exponential", "--a", "5", "--trials", "1"], False),
+    (["compute", "--measure", "srm", "--family", "exponential", "--a", "5", "--dist", "normal",
+      "--n", "1001"], True),
+], ids=["compute-empirical", "subadd", "compute-normal"])
+def test_only_a_normal_source_loads_scipy(argv, loads_scipy, tmp_path, fresh_python):
+    # scipy.special takes about 0.3 s to import, and only the normal quantile
+    # uses it
+    losses = tmp_path / "losses.csv"
+    losses.write_text("1.5\n-0.25\n3\n")
+    argv = [str(losses) if arg == "LOSSES" else arg for arg in argv]
+    out = fresh_python(
+        "import sys\n"
+        "from spectral_risk.cli import main\n"
+        f"assert main({argv!r}) == 0\n"
+        "print('scipy.special' in sys.modules)\n"
+    )
+    assert out.splitlines()[-1] == str(loads_scipy)
+
+
 def test_help_exits_zero(capsys):
     code, out, _ = run(["--help"], capsys)
     assert code == 0

@@ -1,7 +1,9 @@
 """Quadrature engines: replication grid, converged refinement, Monte Carlo."""
 
 import math
+import platform
 import sys
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -278,13 +280,13 @@ def test_replication_evaluates_the_quantiles_of_weighted_chunks_only(monkeypatch
     nodes, weighed = [], []
     inverse_normal_cdf, unchecked_weight = distributions.inverse_normal_cdf, quadrature._weight
 
-    def counted_quantiles(p):
+    def counted_quantiles(p, out=None):
         nodes.append(np.size(p))
-        return inverse_normal_cdf(p)
+        return inverse_normal_cdf(p, out=out)
 
-    def counted_weights(spec, p):
+    def counted_weights(spec, p, out=None):
         weighed.append(np.size(p))
-        return unchecked_weight(spec, p)
+        return unchecked_weight(spec, p, out)
 
     monkeypatch.setattr(distributions, "inverse_normal_cdf", counted_quantiles)
     monkeypatch.setattr(quadrature, "_weight", counted_weights)
@@ -330,6 +332,62 @@ def test_replication_reuses_heap_memory_instead_of_faulting_in_fresh_pages():
 
     # a million draws summed as whole 2**20-draw streams took about 3,900
     assert faults_per_call(draws, 3) < 100
+
+
+@pytest.mark.skipif(sys.platform != "linux" or platform.libc_ver()[0] != "glibc",
+                    reason="the faults come from glibc's heap trimming, counted by Linux getrusage")
+def test_replication_faults_in_no_pages_in_a_process_without_scipy(fresh_python):
+    # Per-chunk temporaries freed at the top of glibc's heap are trimmed and
+    # faulted in again on the next chunk unless live objects, such as those
+    # scipy's import leaves, happen to hold them down: about 8,600 faults over
+    # these 30 passes when scipy is only imported where it is used.  The
+    # kernel reuses its thread's workspace instead, whatever was imported.
+    out = fresh_python(
+        "import resource, sys\n"
+        "import numpy as np\n"
+        "from spectral_risk import QuadratureConfig, WeightSpec, load_empirical, srm_replication\n"
+        "source = load_empirical(np.random.default_rng(31).lognormal(size=500))\n"
+        "spec, config = WeightSpec.exponential(a=5.0), QuadratureConfig(n_points=100_001)\n"
+        "srm_replication(source, spec, config)\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "for _ in range(30):\n"
+        "    srm_replication(source, spec, config)\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+        "assert 'scipy' not in sys.modules\n"
+    )
+    assert int(out) < 30
+
+
+def test_each_thread_replicates_in_its_own_workspace():
+    # numpy releases the interpreter lock inside its loops, so passes in two
+    # threads that shared a workspace would overwrite each other's chunks
+    config = QuadratureConfig(n_points=100_001)
+    cases = [
+        (load_empirical(np.random.default_rng(37).lognormal(size=500)), WeightSpec.exponential(a=5.0)),
+        (normal(0.3, 1.2), WeightSpec.es(0.95)),
+    ] * 2  # more threads than the two cores of a small runner
+    expected = [[srm_replication(source, spec, config).value.hex()] * 20 for source, spec in cases]
+    start = threading.Barrier(len(cases))
+    got = [[] for _ in cases]
+
+    def replicate(source, spec, values):
+        start.wait(timeout=60.0)
+        for _ in range(20):
+            values.append(srm_replication(source, spec, config).value.hex())
+
+    threads = [threading.Thread(target=replicate, args=(*case, values), daemon=True)
+               for case, values in zip(cases, got)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert got == expected
 
 
 @pytest.mark.parametrize("a,ref", sorted(NORMAL_EXPONENTIAL_REFS.items()))
