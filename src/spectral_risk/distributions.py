@@ -44,9 +44,9 @@ def inverse_normal_cdf(p, out=None):
     does, goes to ndtri as it is, which is the reflection bit for bit.  An
     array result is written into out when it is given.  scipy.special, two
     thirds of the time a fresh `import spectral_risk` would otherwise take,
-    is imported on the first call, here and in the two other normal
-    branches that use it, so a process that evaluates only sample sources
-    never loads it.
+    is imported on the first call, here and in _upper_quantile, the only
+    other place that uses it, so a process that evaluates only sample
+    sources never loads it.
     """
     from scipy.special import ndtri
 
@@ -226,22 +226,21 @@ def _interpolate(source: QuantileSource, p, out=None, work=None):
 def quantile(source: QuantileSource, p):
     """Quantile of `source` at probability p (scalar or array), p in (0, 1)."""
     arr = np.asarray(p, dtype=float)
-    if not (arr.min(initial=0.5) > 0.0 and arr.max(initial=0.5) < 1.0):
-        raise ValueError("probability must lie strictly inside (0, 1)")
     if source.kind == "normal":
+        # inverse_normal_cdf checks p
         out = source.mean + source.sd * inverse_normal_cdf(arr)
     else:
+        if not (arr.min(initial=0.5) > 0.0 and arr.max(initial=0.5) < 1.0):
+            raise ValueError("probability must lie strictly inside (0, 1)")
         out = _interpolate(source, arr)
     return float(out) if arr.ndim == 0 else out
 
 
 def _limit_quantile(source: QuantileSource, p: float) -> float:
-    """Limit of the quantile as p approaches 0 or 1; may be infinite."""
+    """Limit of the quantile as p approaches 0 or 1, infinite for a normal
+    source."""
     if source.kind == "normal":
-        from scipy.special import ndtri
-
-        # ndtri maps the closed endpoints to -inf and inf
-        return source.mean + source.sd * float(ndtri(p))
+        return -math.inf if p == 0.0 else math.inf
     return float(source.samples[0] if p == 0.0 else source.samples[-1])
 
 
@@ -262,16 +261,14 @@ def _quantile_pair(source: QuantileSource, p, p_mirror, out=(None, None), work=N
 
 
 def _upper_quantile(source: QuantileSource, log_t):
-    """Quantile at p = 1 - t for an array of upper-tail probabilities given
-    by their logs, so that tails too small to hold in a double stay
-    accurate."""
+    """Quantile of a normal source at p = 1 - t for an array of upper-tail
+    probabilities given by their logs, so that tails too small to hold in a
+    double stay accurate."""
+    from scipy.special import ndtri_exp
+
     # t rounds to 1 at the bottom of the weight mass, and ndtri_exp(0) is inf
     log_t = np.minimum(log_t, -(2.0**-53))
-    if source.kind == "normal":
-        from scipy.special import ndtri_exp
-
-        return source.mean - source.sd * ndtri_exp(log_t)
-    return _interpolate(source, -np.expm1(log_t))
+    return source.mean - source.sd * ndtri_exp(log_t)
 
 
 def _standard_form(source: QuantileSource):

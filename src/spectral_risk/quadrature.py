@@ -8,10 +8,10 @@ and the interior in one pass over the lower half of the grid, in chunks
 whose arrays are the same in every pass, one set per thread, with each
 node paired with its mirror 1 - p: a normal source then needs one
 inverse-normal evaluation per pair.  No chunk allocates, so no pass faults
-in pages afresh, whatever else the process has imported.  A chunk whose
-weights are zero at every node and mirror evaluates no quantile, and the
-pass stops at the first chunk whose mirrors all lie below expected
-shortfall's alpha, as every later chunk's do.  The kernel weighs its own
+in pages afresh, whatever else the process has imported.  The pass stops
+at the first chunk whose mirrors all lie below the p where the weight
+turns zero, es's alpha or the exponential's 1 - 746/a, where exp
+underflows, as every later chunk's do.  The kernel weighs its own
 nodes without the weight's range check.  The converged scheme picks its
 evaluator by what the source is.  A piecewise-linear source has an exact
 closed form in the integrated weight mass, so its only error is float
@@ -175,7 +175,7 @@ class _Workspace(threading.local):
 _WORKSPACE = _Workspace()
 
 
-def _chunked_simpson(eval_pair, y_lo: float, y_hi: float, lo: float, hi: float, n: int,
+def _chunked_simpson(eval_pair, ends, lo: float, hi: float, n: int,
                      zero_below: float = -math.inf, work=None) -> float:
     """Composite Simpson over n grid points, folded about the midpoint.
 
@@ -188,18 +188,21 @@ def _chunked_simpson(eval_pair, y_lo: float, y_hi: float, lo: float, hi: float, 
     its own mirror, is counted once.  eval_pair may overwrite x and
     x_mirror with the nodes it evaluates, which an error then names.  The
     pass stops at the first chunk whose largest mirror lies below
-    zero_below, where eval_pair must be zero on and after it, and adds the
-    +0.0 they sum to.  Chunks start at odd k, so a chunk's even and odd
-    positions are the nodes of coefficient 4 and 2, summed as two strided
-    sums.  The endpoint values y_lo and y_hi, at lo and hi, are passed in
-    as scalars.  A value that is not finite raises NumericalError naming
-    its node, as do finite values whose sum overflows.
+    zero_below, where eval_pair must be zero on and after it (es below
+    alpha, the exponential below 1 - 746/a), and adds the +0.0 they sum
+    to.  Chunks start at odd k, so a chunk's even and odd positions are
+    the nodes of coefficient 4 and 2, summed as two strided sums.  ends
+    holds the two endpoint values as scalar (node, value) pairs, the node
+    being lo or hi or the point a policy clips it to.  A value that is not
+    finite raises NumericalError naming its node, as do finite values whose
+    sum overflows.
     """
-    for x, y in ((lo, y_lo), (hi, y_hi)):
+    for x, y in ends:
         if not math.isfinite(y):
             raise _not_finite(x)
     h = (hi - lo) / (n - 1)
     mid = (n - 1) // 2
+    (_, y_lo), (_, y_hi) = ends
     total = y_lo + y_hi
     if work is None:
         work = np.empty((3, min(_CHUNK, mid)))
@@ -249,7 +252,7 @@ def simpson_composite(f, lo: float, hi: float, n_points: int) -> float:
 
     y_lo, y_hi = (float(y) for y in values(np.array([lo, hi])))
     return _chunked_simpson(
-        lambda x, x_mirror: (values(x), values(x_mirror)), y_lo, y_hi, lo, hi, n_points
+        lambda x, x_mirror: (values(x), values(x_mirror)), ((lo, y_lo), (hi, y_hi)), lo, hi, n_points
     )
 
 
@@ -280,10 +283,6 @@ def srm_replication(
         size = p.size
         w, w_mirror, q, q_mirror, step = floats[3:, :size]
         w, w_mirror = _weight(spec, p, w), _weight(spec, p_mirror, w_mirror)
-        # weights are non-negative, and 0 q adds 0 for every finite q: a chunk
-        # weighed at zero throughout, as by an exponential that underflows, needs no quantile
-        if w_mirror.max() == 0.0 and w.max() == 0.0:
-            return w, w_mirror
         q, q_mirror = _quantile_pair(source, p, p_mirror, (q, q_mirror), (step, index[:size]))
         with np.errstate(over="ignore"):  # _chunked_simpson names a node that overflows
             w *= q
@@ -299,17 +298,12 @@ def srm_replication(
             np.minimum(p_mirror, 1.0 - eps, out=p_mirror)
             return integrand(p, p_mirror)
 
-        ends = (eps, 1.0 - eps)
-        y_lo, y_hi = (weight(spec, p) * quantile(source, p) for p in ends)
-        for p, y in zip(ends, (y_lo, y_hi)):
-            if not math.isfinite(y):
-                raise _not_finite(p)
+        ends = [(p, weight(spec, p) * quantile(source, p)) for p in (eps, 1.0 - eps)]
     else:
         eval_pair = integrand
-        y_lo = _endpoint_integrand(source, spec, 0.0)
-        y_hi = _endpoint_integrand(source, spec, 1.0)
+        ends = [(p, _endpoint_integrand(source, spec, p)) for p in (0.0, 1.0)]
 
-    value = _chunked_simpson(eval_pair, y_lo, y_hi, 0.0, 1.0, n, _zero_below(spec), floats[:3])
+    value = _chunked_simpson(eval_pair, ends, 0.0, 1.0, n, _zero_below(spec), floats[:3])
     return QuadratureResult(
         value=value,
         n_points=n,

@@ -175,7 +175,11 @@ def _weight(spec: WeightSpec, p: np.ndarray, out=None) -> np.ndarray:
 
 
 def _zero_below(spec: WeightSpec) -> float:
-    """The p below which the weight is zero: alpha for es, 0 for the others."""
+    """The p below which the weight is exactly zero: alpha for es, 0 for
+    power and flat, and 1 - 746 / a for the exponential, where a (1 - p)
+    exceeds 746 and exp(-a (1 - p)) is +0.0, as exp is below -745.14."""
+    if spec.family == "exponential":
+        return 1.0 - 746.0 / spec.a
     return spec.alpha if spec.family == "es" else 0.0
 
 
@@ -245,12 +249,13 @@ def _log_tail_probability(spec: WeightSpec, w):
     [0, 1).  In logs, t = w**(1/c) keeps its value where it underflows."""
     w = np.asarray(w, dtype=float)
     fam = spec.family
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):
         if fam == "exponential":
             return np.log(-np.log1p(w * math.expm1(-spec.a))) - math.log(spec.a)
         log_w = np.log(w)
-    if fam == "power":
-        return log_w / spec.c
+        if fam == "power":
+            # overflows to -inf for a tiny c; the engines name the node it reaches
+            return log_w / spec.c
     if fam == "es":
         return log_w + math.log1p(-spec.alpha)
     return log_w

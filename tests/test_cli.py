@@ -270,6 +270,17 @@ def test_data_errors_exit_with_code_2(tmp_path, capsys):
     assert f"cannot read {cp1252}" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["validate", "--family", "flat", "--out", "MISSING/r.json"],
+    ["sweep", "--family", "exponential", "--grid", "1:5:2", "--n", "101", "--out", "DIR"],
+], ids=["validate-into-a-missing-directory", "sweep-onto-a-directory"])
+def test_an_output_path_that_cannot_be_written_exits_with_code_2(argv, tmp_path, capsys):
+    paths = {"MISSING/r.json": str(tmp_path / "missing" / "r.json"), "DIR": str(tmp_path)}
+    code, out, err = run([paths.get(arg, arg) for arg in argv], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: [Errno ")
+
+
 def test_numeric_failures_exit_with_code_3(capsys):
     # a tolerance below anything float arithmetic can certify
     argv = ["compute", "--measure", "es", "--alpha", "0.95",

@@ -4,6 +4,7 @@ import math
 import platform
 import sys
 import threading
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -250,9 +251,10 @@ def test_replication_matches_the_whole_grid_simpson_reference(source, spec, poli
     constant(-0.0),
 ], ids=["normal", "empirical-500", "constant", "constant-negative-zero"])
 def test_replication_matches_the_every_node_reference_bitwise(source, policy, eps):
-    # chunks whose weights are all zero skip their quantiles, and the chunks
-    # from the first whose mirrors all lie below es's alpha are not built,
-    # and still give the bits of the loop that evaluates every node
+    # the chunks from the first whose mirrors all lie below the p where the
+    # weight turns zero (es's alpha, the exponential's 1 - 746 / a) are not
+    # built, and the pass still gives the bits of the loop that evaluates
+    # every node
     specs = [
         WeightSpec.exponential(a=5.0), WeightSpec.power(0.5), WeightSpec.flat(),
         # no chunk is cut at 0.3 and 0.5, every chunk after the first is cut
@@ -260,6 +262,9 @@ def test_replication_matches_the_every_node_reference_bitwise(source, policy, ep
         WeightSpec.es(0.3), WeightSpec.es(0.5), WeightSpec.es(0.95), WeightSpec.es(1 - 1e-13),
         # at n = 100,001 the third chunk's mirrors run from 0.836 down to 0.754
         WeightSpec.es(0.8),
+        # zero below 0.9254 and 0.999254: at n = 3 the one chunk is cut, and at
+        # n = 100,001 every chunk after the first
+        WeightSpec.exponential(a=1e4), WeightSpec.exponential(a=1e6),
     ]
     for spec in specs:
         if policy == "clip_epsilon":
@@ -307,6 +312,9 @@ def test_replication_evaluates_the_quantiles_of_weighted_chunks_only(monkeypatch
     assert evaluated(WeightSpec.es(0.95)) == (_CHUNK, [_CHUNK] * 2)
     assert evaluated(WeightSpec.es(0.3)) == (half, [_CHUNK] * 2 * chunks)
     assert evaluated(WeightSpec.exponential(a=5.0)) == (half, [_CHUNK] * 2 * chunks)
+    # exp(-a (1 - p)) is zero below 1 - 746 / a = 0.9254, which the third
+    # chunk's mirrors, from 0.875 down, all lie below
+    assert evaluated(WeightSpec.exponential(a=1e4)) == (2 * _CHUNK, [_CHUNK] * 4)
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="minor fault counts are read from Linux getrusage")
@@ -427,6 +435,15 @@ def test_converged_integrates_the_standard_normal_where_a_deep_tail_quantile_ove
     # a measure beyond the float range still fails loudly
     with pytest.raises(NumericalError, match="overflows"):
         srm_converged(normal(0.0, 4.6e306), WeightSpec.power(0.001), rel_tol=1e-6)
+
+
+def test_a_tail_map_that_overflows_names_its_node_without_a_warning():
+    # log(w) / c overflows to -inf for c = 1e-307, where the quantile is inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError) as exc_info:
+            srm_converged(standard_normal(), WeightSpec.power(1e-307))
+    assert str(exc_info.value) == "integrand not finite at node x = 5.838244487549328e-38"
 
 
 @pytest.mark.parametrize("mean,sd", [(50.0, 0.5), (-3.0, 2.0)])
