@@ -246,12 +246,20 @@ def _mass_integral(spec: WeightSpec, t, d):
 def _log_tail_probability(spec: WeightSpec, w):
     """Log of the upper-tail probability t that holds the top w of the
     weight mass, weight_mass(spec, 1 - t) = 1 - w, vectorised over w in
-    [0, 1).  In logs, t = w**(1/c) keeps its value where it underflows."""
+    [0, 1).  In logs, t = w**(1/c) keeps its value where it underflows.
+
+    The exponential's t = -log1p(w e) / a, with e = expm1(-a), is taken as
+    log(w log1p(w e) / (w e)) + log(-e / a): no two terms cancel, as
+    log(-log1p(w e)) and log a do for a small a, and where w e underflows
+    to 0 the ratio is its limit, 1, so t keeps its value."""
     w = np.asarray(w, dtype=float)
     fam = spec.family
-    with np.errstate(divide="ignore", over="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         if fam == "exponential":
-            return np.log(-np.log1p(w * math.expm1(-spec.a))) - math.log(spec.a)
+            e = math.expm1(-spec.a)
+            we = w * e
+            # log1p(x) / x >= 1 for x in (-1, 0]; fmax turns the 0 / 0 at we = 0 into 1
+            return np.log(w * np.fmax(np.log1p(we) / we, 1.0)) + math.log(-e / spec.a)
         log_w = np.log(w)
         if fam == "power":
             # overflows to -inf for a tiny c; the engines name the node it reaches

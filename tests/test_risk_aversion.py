@@ -20,7 +20,7 @@ from spectral_risk import (
     weight_mass,
 )
 from spectral_risk.cli import main
-from spectral_risk.risk_aversion import _weight, _zero_below
+from spectral_risk.risk_aversion import _log_tail_probability, _weight, _zero_below
 
 
 def test_weight_spec_param_validation():
@@ -171,6 +171,17 @@ def test_weight_mass_endpoints_and_small_a_stability():
     assert weight_mass(WeightSpec.exponential(a=100.0), 0.9) == pytest.approx(
         math.exp(-10.0), rel=1e-12
     )
+
+
+@pytest.mark.parametrize("a", [5e-324, 1e-300, 1e-100, 1e-12])
+def test_exponential_tail_map_keeps_its_digits_for_a_small_a(a):
+    # t = -log1p(w expm1(-a)) / a = w (1 - a (1 - w) / 2) up to a**2; taken
+    # as log(-log1p(w expm1(-a))) - log(a), log t lost ulp(log a) to the
+    # cancellation, 3.6e-15 at a = 1e-12, and was -inf below a = 1e-287
+    w = np.array([1e-300, 1e-20, 1e-5, 0.1, 0.5, 0.9, 0.999999])
+    got = _log_tail_probability(WeightSpec.exponential(a=a), w)
+    want = np.log(w) - a * (1.0 - w) / 2.0
+    assert np.all(np.abs(got - want) <= 2.0 * np.spacing(np.abs(want)) + 4e-16)
 
 
 @given(st.floats(min_value=0.01, max_value=150.0),
