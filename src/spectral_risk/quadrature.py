@@ -70,9 +70,9 @@ __all__ = [
 # pass writes every chunk-sized array into its thread's _Workspace, so a
 # chunk allocates nothing.  Temporaries freed on every chunk were faulted in
 # afresh whenever glibc trimmed the top of its heap, which it did unless
-# live objects, such as those scipy's import leaves, held that memory down:
-# a traced stress-batch query took about 11,600 faults in a process without
-# scipy, and about 3 with it or with the workspace.
+# other live objects happened to hold that memory down: a traced
+# stress-batch query took about 11,600 faults without the workspace, and
+# about 3 with it.
 _CHUNK = 1 << 13
 # integer-valued offsets 0 .. _CHUNK - 1, from which each chunk's node
 # indices are formed exactly, as np.arange would form them
@@ -278,6 +278,7 @@ def srm_replication(
     n = config.n_points
 
     floats, index = _WORKSPACE.floats, _WORKSPACE.index
+    zero_below = _zero_below(spec)
 
     def integrand(p, p_mirror):
         size = p.size
@@ -299,11 +300,15 @@ def srm_replication(
             return integrand(p, p_mirror)
 
         ends = [(p, weight(spec, p) * quantile(source, p)) for p in (eps, 1.0 - eps)]
+        if 1.0 - eps < zero_below:
+            # every mirror is clipped below the zero-weight edge, so every
+            # interior node weighs +0.0 and the pass stops at its first chunk
+            zero_below = math.inf
     else:
         eval_pair = integrand
         ends = [(p, _endpoint_integrand(source, spec, p)) for p in (0.0, 1.0)]
 
-    value = _chunked_simpson(eval_pair, ends, 0.0, 1.0, n, _zero_below(spec), floats[:3])
+    value = _chunked_simpson(eval_pair, ends, 0.0, 1.0, n, zero_below, floats[:3])
     return QuadratureResult(
         value=value,
         n_points=n,

@@ -2,12 +2,14 @@
 
 import math
 import os
+import sys
+import threading
 import warnings
+from statistics import NormalDist
 
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
-from scipy.special import ndtri
 
 from reference import bisect_normal_quantile, interp_quantile
 from spectral_risk import (
@@ -49,11 +51,24 @@ def test_inverse_normal_cdf_vector_matches_scalar():
 
 @given(st.floats(min_value=0.5, max_value=1.0, exclude_max=True))
 @example(0.8646647167633873)
+@example(0.925)
 def test_inverse_normal_cdf_exactly_antisymmetric(q):
     # 1 - q is exact for q in [0.5, 1), so the reflection must be exact too.
-    # The example is fl(1 - e^-2), the branch point of scipy's ndtri, where
-    # ndtri(q) and -ndtri(1 - q) differ by one ulp
+    # The examples are fl(1 - e^-2), where scipy's ndtri switched branches
+    # and its ndtri(q) and -ndtri(1 - q) differed by one ulp, and the edge
+    # of AS241's central branch
     assert inverse_normal_cdf(1.0 - q) == -inverse_normal_cdf(q)
+
+
+@given(st.lists(st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
+                min_size=1, max_size=40))
+@example([5e-324, 1e-320, 1e-300, 1.4e-11, 0.075, 0.5, 0.925, 1.0 - 2.0**-53])
+def test_inverse_normal_cdf_matches_the_standard_library_within_a_few_ulps(ps):
+    # statistics.NormalDist runs the same algorithm, AS241, with libm's log,
+    # from which numpy's may differ by an ulp
+    z = inverse_normal_cdf(np.array(ps))
+    want = np.array([NormalDist().inv_cdf(p) for p in ps])
+    assert np.all(np.abs(z - want) <= 4.0 * np.spacing(np.abs(want)))
 
 
 @given(
@@ -88,6 +103,17 @@ def test_inverse_normal_cdf_rejects_out_of_range(bad):
         inverse_normal_cdf(np.array(bad))
 
 
+def test_inverse_normal_cdf_writes_into_out_or_refuses_it():
+    p = np.array([[1e-12, 0.3], [0.5, 0.99]])
+    out = np.empty((2, 2))
+    assert inverse_normal_cdf(p, out=out) is out
+    assert out.tobytes() == inverse_normal_cdf(p).tobytes()
+    # a result it could not write through, or of another shape
+    for bad in (np.empty((2, 2)).T, np.empty((4, 2))[::2], np.empty(4)):
+        with pytest.raises(ValueError, match="C-contiguous array shaped like p"):
+            inverse_normal_cdf(p, out=bad)
+
+
 def test_probability_checks_pass_an_empty_array():
     empty = np.array([])
     assert inverse_normal_cdf(empty).shape == (0,)
@@ -98,11 +124,49 @@ def test_probability_checks_pass_an_empty_array():
 @given(st.lists(st.floats(min_value=0.0, max_value=0.5, exclude_min=True), min_size=1, max_size=20))
 @example([0.5])
 @example([5e-324, 0.25, 0.5])
+@example([1e-12, 0.07, 0.3])
 def test_inverse_normal_cdf_on_the_lower_half_is_the_reflection_bit_for_bit(ps):
-    # input wholly at or below 1/2 skips the reflection, which must change no bit
+    # input wholly at or below 1/2 skips the reflection, which must change no
+    # bit: beside a p above 1/2, which makes the whole input fold, each p
+    # keeps its quantile
     p = np.array(ps)
-    reflected = np.copysign(ndtri(np.minimum(p, 1.0 - p)), p - 0.5)
-    assert inverse_normal_cdf(p).tobytes() == reflected.tobytes()
+    folded = inverse_normal_cdf(np.append(p, 0.75))[:-1]
+    assert folded.tobytes() == inverse_normal_cdf(p).tobytes()
+
+
+def test_each_thread_evaluates_the_inverse_normal_in_its_own_scratch():
+    # numpy releases the interpreter lock inside its loops, so threads that
+    # shared the scratch would overwrite each other's branches; these
+    # unsorted blocks take every branch but the asymptotic one, some by
+    # gathering their elements
+    rng = np.random.default_rng(41)
+    inputs = []
+    for _ in range(4):  # more threads than the two cores of a small runner
+        n = 3 * 8192 + 5
+        p = np.where(rng.random(n) < 0.5, np.exp(-700.0 * rng.random(n)), rng.random(n))
+        inputs.append(np.clip(p, 1e-300, 1.0 - 2.0**-53))
+    expected = [[inverse_normal_cdf(p).tobytes()] * 20 for p in inputs]
+    start = threading.Barrier(len(inputs))
+    got = [[] for _ in inputs]
+
+    def evaluate(p, values):
+        start.wait(timeout=60.0)
+        for _ in range(20):
+            values.append(inverse_normal_cdf(p).tobytes())
+
+    threads = [threading.Thread(target=evaluate, args=(p, values), daemon=True)
+               for p, values in zip(inputs, got)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert got == expected
 
 
 def test_normal_source_scales_standard_quantiles():

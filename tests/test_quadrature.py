@@ -299,10 +299,10 @@ def test_replication_evaluates_the_quantiles_of_weighted_chunks_only(monkeypatch
     half = (n - 1) // 2
     chunks = half // _CHUNK
 
-    def evaluated(spec):
+    def evaluated(spec, **policy):
         nodes.clear()
         weighed.clear()
-        srm_replication(standard_normal(), spec, QuadratureConfig(n_points=n))
+        srm_replication(standard_normal(), spec, QuadratureConfig(n_points=n, **policy))
         return sum(nodes), weighed
 
     assert chunks == 8
@@ -315,6 +315,12 @@ def test_replication_evaluates_the_quantiles_of_weighted_chunks_only(monkeypatch
     # exp(-a (1 - p)) is zero below 1 - 746 / a = 0.9254, which the third
     # chunk's mirrors, from 0.875 down, all lie below
     assert evaluated(WeightSpec.exponential(a=1e4)) == (2 * _CHUNK, [_CHUNK] * 4)
+    # clip_epsilon evaluates its two endpoints as scalars, and clips every
+    # mirror to at most 1 - epsilon: at epsilon = 1e-9 the same chunks carry
+    # weight, and at 0.1 none does, as 0.9 lies below 0.9254
+    clip = {"endpoint_policy": "clip_epsilon"}
+    assert evaluated(WeightSpec.exponential(a=1e4), **clip, epsilon=1e-9) == (2 + 2 * _CHUNK, [_CHUNK] * 4)
+    assert evaluated(WeightSpec.exponential(a=1e4), **clip, epsilon=0.1) == (2, [])
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="minor fault counts are read from Linux getrusage")
@@ -347,9 +353,9 @@ def test_replication_reuses_heap_memory_instead_of_faulting_in_fresh_pages():
 def test_replication_faults_in_no_pages_in_a_process_without_scipy(fresh_python):
     # Per-chunk temporaries freed at the top of glibc's heap are trimmed and
     # faulted in again on the next chunk unless live objects, such as those
-    # scipy's import leaves, happen to hold them down: about 8,600 faults over
-    # these 30 passes when scipy is only imported where it is used.  The
-    # kernel reuses its thread's workspace instead, whatever was imported.
+    # scipy's import once left, happen to hold them down: about 8,600 faults
+    # over these 30 passes in a process without scipy.  The kernel reuses
+    # its thread's workspace instead, whatever was imported.
     out = fresh_python(
         "import resource, sys\n"
         "import numpy as np\n"
@@ -362,6 +368,31 @@ def test_replication_faults_in_no_pages_in_a_process_without_scipy(fresh_python)
         "    srm_replication(source, spec, config)\n"
         "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
         "assert 'scipy' not in sys.modules\n"
+    )
+    assert int(out) < 30
+
+
+@pytest.mark.skipif(sys.platform != "linux" or platform.libc_ver()[0] != "glibc",
+                    reason="the faults come from glibc's heap trimming, counted by Linux getrusage")
+@pytest.mark.parametrize("calls", [
+    "srm_replication(normal(0.3, 1.2), WeightSpec.exponential(a=5.0), QuadratureConfig(n_points=100_001))",
+    "srm_monte_carlo(normal(0.3, 1.2), WeightSpec.power(0.1), n_draws=1_000_000, seed=0)",
+], ids=["replication", "monte-carlo"])
+def test_a_normal_source_faults_in_no_pages_in_a_fresh_process(calls, fresh_python):
+    # The inverse normal evaluates its branches, and gathers the draws of a
+    # Monte Carlo piece that take a minority branch, in its thread's scratch:
+    # a scratch allocated per block, above glibc's mmap threshold, was mapped
+    # and faulted in afresh on every replication chunk, 44 faults over these
+    # 30 passes.  Monte Carlo runs 3 calls.
+    repeats = 30 if calls.startswith("srm_replication") else 3
+    out = fresh_python(
+        "import resource, sys\n"
+        "from spectral_risk import QuadratureConfig, WeightSpec, normal, srm_monte_carlo, srm_replication\n"
+        f"{calls}\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        f"for _ in range({repeats}):\n"
+        f"    {calls}\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
     )
     assert int(out) < 30
 
@@ -641,7 +672,7 @@ def test_monte_carlo_seeded_value_is_pinned_across_two_chunks():
     mc = srm_monte_carlo(standard_normal(), WeightSpec.exponential(a=5.0),
                          n_draws=(1 << 20) + 3, seed=11)
     assert mc.value == 1.0809187093178463
-    assert mc.stderr == 0.000753108248924372
+    assert mc.stderr == 0.0007531082489243717
 
 
 def _whole_stream_reference(source, spec, n_draws, seed):
