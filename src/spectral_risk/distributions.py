@@ -7,7 +7,6 @@ quantile queries for probabilities strictly inside (0, 1).
 
 from __future__ import annotations
 
-import contextlib
 import math
 import threading
 from dataclasses import dataclass, field
@@ -146,13 +145,13 @@ def _tail(neg_log_p, out, var, acc, alt, mask):
     neg_log_p is overwritten with r = sqrt(-log p).  The near branch runs
     over every element when some element needs it, and the far branch over
     its own elements alone, gathered into alt, when the near one runs too.
-    _mills_tail's values replace both's where it runs, and there the
-    rational branches may overflow."""
+    _mills_tail's values replace both's where it runs; there the rational
+    branches may overflow, which is why their warnings are off."""
     r_lo, r_hi = math.sqrt(neg_log_p.min()), math.sqrt(neg_log_p.max())
     deep = _mills_tail(neg_log_p) if r_hi > _FAR_END else None
     r = np.sqrt(neg_log_p, out=neg_log_p)
     near, far = r_lo <= _NEAR_END, r_hi > _NEAR_END and r_lo <= _FAR_END
-    with np.errstate(over="ignore", invalid="ignore") if deep is not None else contextlib.nullcontext():
+    with np.errstate(over="ignore", invalid="ignore"):
         if near:
             _rational(np.subtract(r, _NEAR_SHIFT, out=var), _NEAR, acc, out)
         if far and near:

@@ -11,7 +11,8 @@ inverse-normal evaluation per pair.  No chunk allocates, so no pass faults
 in pages afresh, whatever else the process has imported.  The pass stops
 at the first chunk whose mirrors all lie below the p where the weight
 turns zero, es's alpha or the exponential's 1 - 746/a, where exp
-underflows, as every later chunk's do.  The kernel weighs its own
+underflows, as every later chunk's do; under clip_epsilon, at the first
+chunk when the clip puts every mirror below it.  The kernel weighs its own
 nodes without the weight's range check.  The converged scheme picks its
 evaluator by what the source is.  A piecewise-linear source has an exact
 closed form in the integrated weight mass, so its only error is float
