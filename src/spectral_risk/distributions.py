@@ -200,11 +200,12 @@ def _standard_quantile(x, q, q_lo, q_hi, tail_log, out):
     # both over all.
     central = np.less_equal(np.abs(q, out=f[1]), 0.425, out=mask)
     if 2 * np.count_nonzero(central) >= n:
-        _central(q, out, f)
+        # gathered before out, which may be x itself, is written
         lanes = np.flatnonzero(np.logical_not(central, out=mask))
         g = _SCRATCH.floats[:, :lanes.size]
-        zs = _signed_tail(np.take(x, lanes, out=g[6]), np.take(q, lanes, out=g[7]),
-                          tail_log, g[8], g, work_mask[:lanes.size])
+        xs, qs = np.take(x, lanes, out=g[6]), np.take(q, lanes, out=g[7])
+        _central(q, out, f)
+        zs = _signed_tail(xs, qs, tail_log, g[8], g, work_mask[:lanes.size])
     else:
         _signed_tail(x, q, tail_log, out, f, work_mask)
         lanes = np.flatnonzero(central)

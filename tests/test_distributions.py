@@ -108,6 +108,10 @@ def test_inverse_normal_cdf_writes_into_out_or_refuses_it():
     out = np.empty((2, 2))
     assert inverse_normal_cdf(p, out=out) is out
     assert out.tobytes() == inverse_normal_cdf(p).tobytes()
+    # in place, on a block that mixes the branches, mostly central
+    mixed = np.random.default_rng(43).random(1000)
+    want = inverse_normal_cdf(mixed)
+    assert inverse_normal_cdf(mixed, out=mixed).tobytes() == want.tobytes()
     # a result it could not write through, or of another shape
     for bad in (np.empty((2, 2)).T, np.empty((4, 2))[::2], np.empty(4)):
         with pytest.raises(ValueError, match="C-contiguous array shaped like p"):
