@@ -83,8 +83,10 @@ _NEAR_END, _FAR_END = 5.0, 27.0
 # at z = 38 (r = 27) the first term left out is below 1e-15
 _MILLS = (-945.0, 105.0, -15.0, 3.0, -1.0, 1.0)
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
-# elements per block of the inverse normal's scratch: a replication chunk and
-# a Monte Carlo piece are one block each
+# elements per block: a row of 8,192 doubles is 64 KiB, under glibc's 128 KiB
+# mmap threshold, so a freed one is reused from the heap.  The inverse normal's
+# scratch, a replication chunk and a Monte Carlo piece are one block each;
+# changing it changes how every replication and Monte Carlo sum is grouped.
 _BLOCK = 1 << 13
 
 
@@ -144,23 +146,20 @@ def _tail(neg_log_p, out, var, acc, alt, mask):
     var and alt arrays like out, acc as _rational's and mask as scratch;
     neg_log_p is overwritten with r = sqrt(-log p).  The near branch runs
     over every element when some element needs it, and the far branch over
-    its own elements alone, gathered into alt, when the near one runs too.
+    its own elements alone, gathered into alt, when some element needs it.
     _mills_tail's values replace both's where it runs; there the rational
     branches may overflow, which is why their warnings are off."""
     r_lo, r_hi = math.sqrt(neg_log_p.min()), math.sqrt(neg_log_p.max())
     deep = _mills_tail(neg_log_p) if r_hi > _FAR_END else None
     r = np.sqrt(neg_log_p, out=neg_log_p)
-    near, far = r_lo <= _NEAR_END, r_hi > _NEAR_END and r_lo <= _FAR_END
     with np.errstate(over="ignore", invalid="ignore"):
-        if near:
+        if r_lo <= _NEAR_END:
             _rational(np.subtract(r, _NEAR_SHIFT, out=var), _NEAR, acc, out)
-        if far and near:
+        if r_hi > _NEAR_END and r_lo <= _FAR_END:
             lanes = np.flatnonzero(np.greater(r, _NEAR_END, out=mask))
             k = lanes.size
             rs = np.take(r, lanes, out=alt[:k])
             out[lanes] = _rational(np.subtract(rs, _FAR_SHIFT, out=var[:k]), _FAR, acc[:, :k], alt[:k])
-        elif far:
-            _rational(np.subtract(r, _FAR_SHIFT, out=var), _FAR, acc, out)
     if deep is not None:
         np.putmask(out, np.greater(r, _FAR_END, out=mask), deep)
     return out
@@ -479,20 +478,18 @@ def _upper_block(log_t, lo, hi, out):
     _standard_quantile(log_t, q, q.min(), q.max(), tail_log, out)
 
 
-def _upper_quantile(source: QuantileSource, log_t):
-    """Quantile of a normal source at p = 1 - t for an array of upper-tail
+def _upper_quantile(log_t):
+    """Standard normal quantile at p = 1 - t for an array of upper-tail
     probabilities given by their logs, so that tails too small to hold in a
-    double stay accurate: the standard quantile is AS241's at the lower-tail
-    probability t, negated.  Its tail branches take r = sqrt(-log t)
-    straight from log t, and beyond log t = -729, past their fitted range,
-    the asymptotic inversion of _mills_tail; log t = -inf gives z = +inf,
-    without a warning."""
+    double stay accurate: AS241's at the lower-tail probability t, negated.
+    Its tail branches take r = sqrt(-log t) straight from log t, and beyond
+    log t = -729, past their fitted range, the asymptotic inversion of
+    _mills_tail; log t = -inf gives z = +inf, without a warning."""
     # t rounds to 1 at the bottom of the weight mass, where the quantile would
     # be -inf; held below 1, it stays finite
     log_t = np.minimum(log_t, -(2.0**-53))
-    z = _blockwise(log_t, log_t.min(initial=math.inf), log_t.max(initial=-math.inf), _upper_block,
-                   np.empty(log_t.shape))
-    return source.mean + source.sd * z
+    return _blockwise(log_t, log_t.min(initial=math.inf), log_t.max(initial=-math.inf), _upper_block,
+                      np.empty(log_t.shape))
 
 
 def _standard_form(source: QuantileSource):

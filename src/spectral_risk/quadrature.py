@@ -22,10 +22,9 @@ mild logarithmic one that a tanh-sinh rule absorbs; its error is the
 measured difference between successive levels.  A Monte Carlo estimator
 that draws the weight mass uniformly through the same map gives an
 independent cross-check, biased low where the weight holds mass beyond
-p = 1 - 1e-16.  It processes each seeded stream in pieces of the
-replication chunk size and adds the pieces' sums in np.sum's pairwise
-order, so its temporaries stay under the allocator's mmap threshold and a
-seeded result does not depend on the piece size.
+p = 1 - 1e-16.  It draws one seeded stream in pieces of the replication
+chunk size, so its temporaries stay under the allocator's mmap threshold,
+and adds the pieces' sums in draw order.
 """
 
 from __future__ import annotations
@@ -37,6 +36,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .distributions import (
+    _BLOCK,
     QuantileSource,
     _limit_quantile,
     _linear_knots,
@@ -66,26 +66,10 @@ __all__ = [
     "convergence_study",
 ]
 
-# lower-half nodes per replication chunk, and draws per Monte Carlo piece;
-# changing it changes how every replication sum is grouped.  A replication
-# pass writes every chunk-sized array into its thread's _Workspace, so a
-# chunk allocates nothing.  Temporaries freed on every chunk were faulted in
-# afresh whenever glibc trimmed the top of its heap, which it did unless
-# other live objects happened to hold that memory down: a traced
-# stress-batch query took about 11,600 faults without the workspace, and
-# about 3 with it.
-_CHUNK = 1 << 13
-# integer-valued offsets 0 .. _CHUNK - 1, from which each chunk's node
-# indices are formed exactly, as np.arange would form them
-_OFFSETS = np.arange(_CHUNK, dtype=float)
+# integer-valued offsets 0 .. _BLOCK - 1, from which each replication chunk's
+# node indices are formed exactly, as np.arange would form them
+_OFFSETS = np.arange(_BLOCK, dtype=float)
 _OFFSETS.flags.writeable = False
-# draws per Monte Carlo child stream; changing it changes every seeded result.
-# A stream is drawn and transformed in pieces of at most _CHUNK draws, so its
-# temporaries stay under glibc's 128 KiB mmap threshold (a whole stream as
-# one array faults in about 3,900 pages per million draws), and the pieces'
-# sums are added in np.sum's pairwise order, so no seeded result depends on
-# _CHUNK
-_MC_CHUNK = 1 << 20
 _ENDPOINT_POLICIES = ("zero_endpoints", "clip_epsilon")
 _SCHEMES = ("replication", "converged")
 _EPS = 2.0**-52
@@ -161,16 +145,22 @@ class _Workspace(threading.local):
 
     Every pass in a thread writes into the same arrays, so threads never
     share them, and one pass must not start inside another in the same
-    thread.  floats holds eight rows: the nodes, their mirrors and the
-    Simpson values that _chunked_simpson forms, then the weights and the
-    quantiles at the nodes and at their mirrors and the interpolation step
-    that srm_replication's integrand forms; index holds interpolation's
-    segment numbers.
+    thread; a chunk allocates nothing.  Temporaries freed on every chunk
+    were faulted in afresh whenever glibc trimmed the top of its heap, which
+    it did unless other live objects happened to hold that memory down: a
+    traced stress-batch query took about 11,600 faults without the
+    workspace, and about 3 with it.
+
+    floats holds eight rows: the nodes, their mirrors and the Simpson
+    values that _chunked_simpson forms, then the weights and the quantiles
+    at the nodes and at their mirrors and the interpolation step that
+    srm_replication's integrand forms; index holds interpolation's segment
+    numbers.
     """
 
     def __init__(self):
-        self.floats = np.empty((8, _CHUNK))
-        self.index = np.empty(_CHUNK, dtype=np.intp)
+        self.floats = np.empty((8, _BLOCK))
+        self.index = np.empty(_BLOCK, dtype=np.intp)
 
 
 _WORKSPACE = _Workspace()
@@ -181,7 +171,7 @@ def _chunked_simpson(eval_pair, ends, lo: float, hi: float, n: int,
     """Composite Simpson over n grid points, folded about the midpoint.
 
     n is odd, so node k and its mirror n - 1 - k carry the same Simpson
-    coefficient.  One pass runs over the lower half in chunks of _CHUNK
+    coefficient.  One pass runs over the lower half in chunks of _BLOCK
     nodes, whose nodes, mirrors and Simpson values are written into the
     three rows of work, a float array of at least the chunk's width,
     allocated once when not given: eval_pair(x, x_mirror) returns the
@@ -206,12 +196,12 @@ def _chunked_simpson(eval_pair, ends, lo: float, hi: float, n: int,
     (_, y_lo), (_, y_hi) = ends
     total = y_lo + y_hi
     if work is None:
-        work = np.empty((3, min(_CHUNK, mid)))
-    for start in range(1, mid + 1, _CHUNK):
+        work = np.empty((3, min(_BLOCK, mid)))
+    for start in range(1, mid + 1, _BLOCK):
         if (n - 1 - start) * h + lo < zero_below:
             total += 0.0  # turns a total of -0.0 into +0.0
             break
-        stop = min(start + _CHUNK, mid + 1)
+        stop = min(start + _BLOCK, mid + 1)
         x, x_mirror, y = work[:, :stop - start]
         np.add(_OFFSETS[:stop - start], start, out=x)
         np.subtract(n - 1, x, out=x_mirror)
@@ -436,7 +426,7 @@ def srm_converged(
     x = _linear_knots(source)
     if x is None:
         value, err, evals = _tanh_sinh(
-            lambda w: _upper_quantile(source, _log_tail_probability(spec, w)), rel_tol, loc, scale
+            lambda w: _upper_quantile(_log_tail_probability(spec, w)), rel_tol, loc, scale
         )
     else:
         value, err = _closed_form(x, source.steps, spec, rel_tol)
@@ -450,25 +440,6 @@ def srm_converged(
     )
 
 
-def _pairwise_sums(loss, rng, n: int) -> tuple[float, float]:
-    """Sums of loss(u) and of its square over the next n uniforms of rng,
-    drawn in pieces of at most _CHUNK, so that every temporary is reused
-    from the heap.  The pieces are added in np.sum's pairwise order: a
-    block of more than _CHUNK splits where np.sum splits it, its left part
-    drawn first, and np.sum leaves blocks of 128 or fewer unsplit, so both
-    sums equal np.sum over one n-draw array bit for bit.  A sum that
-    overflows comes back infinite or nan, without a warning.
-    """
-    if n > _CHUNK:
-        half = n // 2 - (n // 2) % 8
-        left, left_sq = _pairwise_sums(loss, rng, half)
-        right, right_sq = _pairwise_sums(loss, rng, n - half)
-        return left + right, left_sq + right_sq
-    x = loss(rng.random(n))
-    with np.errstate(over="ignore", invalid="ignore"):
-        return float(x.sum()), float((x * x).sum())
-
-
 def srm_monte_carlo(
     source: QuantileSource, spec: WeightSpec, n_draws: int = 1_000_000, seed: int = 0
 ) -> MonteCarloResult:
@@ -478,28 +449,29 @@ def srm_monte_carlo(
     biases power weights low by their mass beyond the clip, 2**(-53 c):
     about -12 standard errors at c = 0.1 and a million draws.
 
-    Draws are generated in fixed-size chunks of _MC_CHUNK with one child
-    stream per chunk, so results are reproducible for a given (seed,
-    n_draws).  Each stream is drawn and transformed in pieces of at most
-    _CHUNK draws, whose sums are added in np.sum's pairwise order: value
-    and stderr are bitwise those of summing each stream as one array.
-    Raises NumericalError when the sum of the draws or of their squares
-    overflows a double, so the value or the stderr would not be finite.
+    The draws come from one generator, default_rng([seed]), so a result is
+    reproducible for a given (seed, n_draws), and a seed that is not a
+    non-negative integer, None included, raises.  They are drawn and
+    transformed in pieces of at most _BLOCK, so that every temporary is
+    reused from the heap, and the pieces' sums and sums of squares are
+    added in draw order.  Raises NumericalError when the sum of the draws
+    or of their squares overflows a double, so the value or the stderr
+    would not be finite.
     """
     if n_draws < 2:
         raise ValueError("n_draws must be at least 2")
-    total = 0.0
-    total_sq = 0.0
 
     def loss(u):
         p = -np.expm1(_log_tail_probability(spec, u))
         return quantile(source, np.clip(p, 1e-16, 1.0 - 1e-16))
 
-    for stream, start in enumerate(range(0, n_draws, _MC_CHUNK)):
-        rng = np.random.default_rng([seed, stream])
-        part, part_sq = _pairwise_sums(loss, rng, min(_MC_CHUNK, n_draws - start))
-        total += part
-        total_sq += part_sq
+    rng = np.random.default_rng([seed])
+    total = total_sq = 0.0
+    for start in range(0, n_draws, _BLOCK):
+        x = loss(rng.random(min(_BLOCK, n_draws - start)))
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflowing sum is raised below
+            total += float(x.sum())
+            total_sq += float((x * x).sum())
     mean = total / n_draws
     var = max(total_sq - n_draws * mean * mean, 0.0) / (n_draws - 1)
     stderr = math.sqrt(var / n_draws)

@@ -5,8 +5,8 @@ the complementary error function for normal quantiles, a textbook Simpson
 loop for integrals, a whole-grid Simpson dot product, and the direct
 order-statistic interpolation formula for empirical quantiles, which the
 two combine into a segment-by-segment spectral measure, and a seeded Monte
-Carlo mean that draws and sums each child stream as one array, taking the
-map from uniforms to losses as an argument, and a folded replication loop
+Carlo mean that draws, maps and sums all its uniforms as one array, taking
+the map from uniforms to losses as an argument, and a folded replication loop
 that evaluates the quantiles at every node, taking the quantile and weight
 maps as arguments.  None of it shares code with the package.
 """
@@ -93,19 +93,15 @@ def segment_simpson_srm(sorted_samples, weight, panels=8):
     return total
 
 
-def monte_carlo_whole_streams(loss, n_draws, seed, stream_size=1 << 20):
-    """Mean and standard error of loss(u) over n_draws uniforms from child
-    streams default_rng([seed, stream]) of stream_size draws each, every
-    stream drawn, mapped and summed as one array."""
-    total = total_sq = 0.0
-    for stream, start in enumerate(range(0, n_draws, stream_size)):
-        rng = np.random.default_rng([seed, stream])
-        x = loss(rng.random(min(stream_size, n_draws - start)))
-        total += float(x.sum())
-        total_sq += float((x * x).sum())
+def monte_carlo_one_array(loss, n_draws, seed):
+    """Mean and standard error of loss(u) over the first n_draws uniforms of
+    default_rng([seed]), drawn, mapped and summed by np.sum as one array,
+    with the sums of |loss| and of its square that bound their rounding."""
+    x = loss(np.random.default_rng([seed]).random(n_draws))
+    total, total_sq = float(np.sum(x)), float(np.sum(x * x))
     mean = total / n_draws
     var = max(total_sq - n_draws * mean * mean, 0.0) / (n_draws - 1)
-    return mean, math.sqrt(var / n_draws)
+    return mean, math.sqrt(var / n_draws), float(np.sum(np.abs(x))), total_sq
 
 
 def replication_every_node(quantile_pair, weight, n, policy, eps, ends, chunk=1 << 13):

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from reference import (
-    monte_carlo_whole_streams,
+    monte_carlo_one_array,
     replication_every_node,
     segment_simpson_srm,
     simpson_grid,
@@ -37,8 +37,8 @@ from spectral_risk import (
     weight_mass,
 )
 from spectral_risk import distributions, quadrature
-from spectral_risk.distributions import _quantile_pair, _upper_quantile
-from spectral_risk.quadrature import _CHUNK, _endpoint_integrand, _tanh_sinh
+from spectral_risk.distributions import _BLOCK, _quantile_pair, _upper_quantile
+from spectral_risk.quadrature import _endpoint_integrand, _tanh_sinh
 from spectral_risk.risk_aversion import _log_tail_probability
 
 # high-precision values computed independently for these source and weight
@@ -216,7 +216,7 @@ def _grid_reference(source, spec, n, policy, eps=1e-9):
 
 # grid sizes whose folded lower half, nodes 1 to (n - 1) / 2, ends one node
 # before, on, and one node after the end of the first chunk
-_CHUNK_EDGE_SIZES = (2 * _CHUNK - 1, 2 * _CHUNK + 1, 2 * _CHUNK + 3)
+_CHUNK_EDGE_SIZES = (2 * _BLOCK - 1, 2 * _BLOCK + 1, 2 * _BLOCK + 3)
 
 
 @pytest.mark.parametrize("policy", ["zero_endpoints", "clip_epsilon"])
@@ -258,7 +258,7 @@ def test_replication_matches_the_every_node_reference_bitwise(source, policy, ep
     specs = [
         WeightSpec.exponential(a=5.0), WeightSpec.power(0.5), WeightSpec.flat(),
         # no chunk is cut at 0.3 and 0.5, every chunk after the first is cut
-        # at 0.95 for n > 2 _CHUNK, and every chunk is cut at 1 - 1e-13
+        # at 0.95 for n > 2 _BLOCK, and every chunk is cut at 1 - 1e-13
         WeightSpec.es(0.3), WeightSpec.es(0.5), WeightSpec.es(0.95), WeightSpec.es(1 - 1e-13),
         # at n = 100,001 the third chunk's mirrors run from 0.836 down to 0.754
         WeightSpec.es(0.8),
@@ -271,12 +271,12 @@ def test_replication_matches_the_every_node_reference_bitwise(source, policy, ep
             ends = tuple(weight(spec, p) * quantile(source, p) for p in (eps, 1.0 - eps))
         else:
             ends = tuple(_endpoint_integrand(source, spec, p) for p in (0.0, 1.0))
-        for n in (3, 2 * _CHUNK - 1, 2 * _CHUNK + 1, 100_001):
+        for n in (3, 2 * _BLOCK - 1, 2 * _BLOCK + 1, 100_001):
             config = QuadratureConfig(n_points=n, endpoint_policy=policy, epsilon=eps)
             got = srm_replication(source, spec, config).value
             ref = replication_every_node(
                 lambda p, p_mirror: _quantile_pair(source, p, p_mirror),
-                lambda p: weight(spec, p), n, policy, eps, ends, _CHUNK,
+                lambda p: weight(spec, p), n, policy, eps, ends, _BLOCK,
             )
             assert got.hex() == ref.hex(), (spec, n)
 
@@ -297,7 +297,7 @@ def test_replication_evaluates_the_quantiles_of_weighted_chunks_only(monkeypatch
     monkeypatch.setattr(quadrature, "_weight", counted_weights)
     n = (1 << 17) + 1
     half = (n - 1) // 2
-    chunks = half // _CHUNK
+    chunks = half // _BLOCK
 
     def evaluated(spec, **policy):
         nodes.clear()
@@ -306,20 +306,20 @@ def test_replication_evaluates_the_quantiles_of_weighted_chunks_only(monkeypatch
         return sum(nodes), weighed
 
     assert chunks == 8
-    # the first chunk's mirrors run down to 1 - _CHUNK / 2**17 = 0.9375 and
+    # the first chunk's mirrors run down to 1 - _BLOCK / 2**17 = 0.9375 and
     # reach 0.95; the second chunk's start below 0.95, so the pass stops
     # there, having weighed the nodes and the mirrors of one chunk
-    assert evaluated(WeightSpec.es(0.95)) == (_CHUNK, [_CHUNK] * 2)
-    assert evaluated(WeightSpec.es(0.3)) == (half, [_CHUNK] * 2 * chunks)
-    assert evaluated(WeightSpec.exponential(a=5.0)) == (half, [_CHUNK] * 2 * chunks)
+    assert evaluated(WeightSpec.es(0.95)) == (_BLOCK, [_BLOCK] * 2)
+    assert evaluated(WeightSpec.es(0.3)) == (half, [_BLOCK] * 2 * chunks)
+    assert evaluated(WeightSpec.exponential(a=5.0)) == (half, [_BLOCK] * 2 * chunks)
     # exp(-a (1 - p)) is zero below 1 - 746 / a = 0.9254, which the third
     # chunk's mirrors, from 0.875 down, all lie below
-    assert evaluated(WeightSpec.exponential(a=1e4)) == (2 * _CHUNK, [_CHUNK] * 4)
+    assert evaluated(WeightSpec.exponential(a=1e4)) == (2 * _BLOCK, [_BLOCK] * 4)
     # clip_epsilon evaluates its two endpoints as scalars, and clips every
     # mirror to at most 1 - epsilon: at epsilon = 1e-9 the same chunks carry
     # weight, and at 0.1 none does, as 0.9 lies below 0.9254
     clip = {"endpoint_policy": "clip_epsilon"}
-    assert evaluated(WeightSpec.exponential(a=1e4), **clip, epsilon=1e-9) == (2 + 2 * _CHUNK, [_CHUNK] * 4)
+    assert evaluated(WeightSpec.exponential(a=1e4), **clip, epsilon=1e-9) == (2 + 2 * _BLOCK, [_BLOCK] * 4)
     assert evaluated(WeightSpec.exponential(a=1e4), **clip, epsilon=0.1) == (2, [])
 
 
@@ -595,9 +595,8 @@ def test_converged_error_estimate_is_measured_not_the_target():
 
 
 def test_exhausted_refinement_budget_reports_its_best_estimate():
-    src = standard_normal()
     spec = WeightSpec.exponential(a=5.0)
-    f = lambda w: _upper_quantile(src, _log_tail_probability(spec, w))
+    f = lambda w: _upper_quantile(_log_tail_probability(spec, w))
     with pytest.raises(ConvergenceError, match="did not converge") as exc_info:
         _tanh_sinh(f, 1e-9, max_levels=2)
     err = exc_info.value
@@ -655,6 +654,51 @@ def test_closed_form_rounding_bound_stays_finite_on_the_widest_samples():
     assert 0.0 < result.estimated_error < math.inf
 
 
+def _exact_type7_es(samples, alpha):
+    """es at alpha (flat at 0) of the type-7 quantile of samples, as a
+    Fraction: the mean over [alpha, 1] of the piecewise-linear quantile
+    through (k / (n - 1), x_k), each segment's part its width times the
+    mean of its end values."""
+    x = sorted(Fraction(v) for v in samples)
+    n, a = len(x), Fraction(alpha)
+    if n == 1:
+        return x[0]
+    total = Fraction(0)
+    for k in range(n - 1):
+        lo, hi = Fraction(k, n - 1), Fraction(k + 1, n - 1)
+        if hi > a:
+            start = max(lo, a)
+            at_start = x[k] + (start - lo) * (n - 1) * (x[k + 1] - x[k])
+            total += (hi - start) * (at_start + x[k + 1]) / 2
+    return total / (1 - a)
+
+
+# small samples of dyadic values: edge cases, then seeded draws of 1 to 24
+# multiples of 1/8, some offset by a large or a tiny power of two
+RATIONAL_SAMPLES = [
+    [0.0], [-3.5], [1.0, 1.0], [-1.0, 1.0], [0.0, 0.0, 0.0, 2.0], [2.0**-40, 1.0, 2.0**40],
+    *([float(v) for v in np.random.default_rng(41 + i).integers(-64, 65, 1 + i % 24) / 8.0]
+      for i in range(24)),
+    *([float(v) + 2.0**20 for v in np.random.default_rng(71 + i).integers(-64, 65, 3 + i) / 8.0]
+      for i in range(3)),
+    *([float(v) * 2.0**-30 for v in np.random.default_rng(81 + i).integers(-64, 65, 5 + i)]
+      for i in range(3)),
+]
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 0.75, 0.9375, 2.0**-10, 1.0 - 2.0**-12],
+                         ids=["flat", "es-1/2", "es-3/4", "es-15/16", "es-2^-10", "es-1-2^-12"])
+def test_closed_form_lies_within_its_bound_of_the_exact_rational_value(alpha):
+    # dyadic samples and alpha make the type-7 value a rational number, which
+    # Fraction computes exactly; the converged value's error is compared with
+    # its bound without rounding
+    spec = WeightSpec.flat() if alpha == 0.0 else WeightSpec.es(alpha)
+    for samples in RATIONAL_SAMPLES:
+        result = srm_converged(load_empirical(samples), spec, rel_tol=1e-9)
+        error = abs(Fraction(result.value) - _exact_type7_es(samples, alpha))
+        assert error <= Fraction(result.estimated_error), samples
+
+
 def test_monte_carlo_is_reproducible_and_seed_sensitive():
     spec = WeightSpec.exponential(a=5.0)
     src = standard_normal()
@@ -668,19 +712,66 @@ def test_monte_carlo_is_reproducible_and_seed_sensitive():
 
 
 def test_monte_carlo_seeded_value_is_pinned_across_two_chunks():
-    # 2**20 + 3 draws take two child streams; a seeded value never moves
+    # 2**20 + 3 draws: 128 whole pieces and one of 3 draws
     mc = srm_monte_carlo(standard_normal(), WeightSpec.exponential(a=5.0),
                          n_draws=(1 << 20) + 3, seed=11)
-    assert mc.value == 1.0809187093178463
-    assert mc.stderr == 0.0007531082489243717
+    assert mc.value == 1.0809201554409118
+    assert mc.stderr == 0.0007531071120810795
 
 
-def _whole_stream_reference(source, spec, n_draws, seed):
+def _one_array_reference(source, spec, n_draws, seed):
     def loss(u):
         p = -np.expm1(_log_tail_probability(spec, u))
         return quantile(source, np.clip(p, 1e-16, 1.0 - 1e-16))
 
-    return monte_carlo_whole_streams(loss, n_draws, seed)
+    return monte_carlo_one_array(loss, n_draws, seed)
+
+
+def _assert_within_rounding(mc, reference, n):
+    """mc's value and stderr lie within what rounding alone can move them
+    from the one-array reference's, a bound derived from the number of
+    pieces and the sums of |x| and x**2 over the n losses x.
+
+    Both sum the same n terms.  np.sum adds a block of at most 128 terms in
+    eight interleaved partial sums of up to 16 terms, joined by three
+    additions, then up to seven leftover terms one by one: at most
+    15 + 3 + 7 = 25 additions for any term.  A larger block is halved, one
+    more addition per halving, at most ceil(log2 n) of them.  The pieces'
+    sums are added to a running total, one more addition per later piece.
+    A sum in which every term passes through at most k additions is within
+    gamma(k) = k u / (1 - k u) of sum|x|, u = 2**-53, so the two totals are
+    within gamma(k) of it for k the two depths added; dividing by n rounds
+    once more on each side.  The variance numerator S2 - n m m, with
+    S2 = sum x**2 and m the mean, differs by gamma(k) S2 in S2, by
+    n dm (2 |m| + dm) in n m m, and by its six roundings, two products and
+    a difference on each side, each within u S2, since n m m <= S2.  The
+    stderr sqrt(N / (n (n - 1))) moves by at most dN / (n (n - 1)) over
+    the stderr, plus u for each of the two divisions and the root on each
+    side, five in all with the first-order slack.
+    """
+    mean, stderr, abs_sum, sq_sum = reference
+    pieces = -(-n // _BLOCK)
+    u = 2.0**-53
+
+    def gamma(k):
+        return k * u / (1.0 - k * u)
+
+    k = (25 + math.ceil(math.log2(n))) + (25 + math.ceil(math.log2(min(n, _BLOCK))) + pieces - 1)
+    d_mean = gamma(k + 2) * abs_sum / n
+    d_num = gamma(k + 6) * sq_sum + n * d_mean * (2.0 * abs(mean) + d_mean)
+    d_stderr = d_num / (n * (n - 1) * stderr) + 5.0 * u * stderr
+    assert abs(mc.value - mean) <= d_mean, (n, mc.value, mean, d_mean)
+    assert abs(mc.stderr - stderr) <= d_stderr, (n, mc.stderr, stderr, d_stderr)
+
+
+def test_monte_carlo_seeded_value_is_pinned_at_a_million_draws():
+    source, spec, n = standard_normal(), WeightSpec.exponential(a=5.0), 1_000_000
+    mc = srm_monte_carlo(source, spec, n_draws=n, seed=11)
+    assert (mc.value, mc.stderr) == (1.0806853427113705, 0.0007713374313996146)
+    # one np.sum over all the draws lies within the rounding bound of the pin
+    reference = _one_array_reference(source, spec, n, 11)
+    assert reference[:2] == (1.080685342711371, 0.0007713374313996139)
+    _assert_within_rounding(mc, reference, n)
 
 
 @pytest.mark.parametrize("spec", [
@@ -693,19 +784,35 @@ def _whole_stream_reference(source, spec, n_draws, seed):
     normal(0.3, 1.2),
     load_empirical(np.random.default_rng(29).normal(0.3, 1.2, 500)),
 ], ids=["normal", "empirical-500"])
-def test_monte_carlo_matches_the_whole_stream_reference_bitwise(source, spec):
-    # pieces of _CHUNK draws summed in np.sum's pairwise order give the
-    # bits of one np.sum over the stream, on both sides of each piece edge
-    for n in (2, 3, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1, 1_000_000):
+def test_monte_carlo_matches_the_one_array_reference_within_rounding(source, spec):
+    # one piece gives the bits of one np.sum over the stream; more pieces,
+    # summed in draw order, differ by rounding alone
+    for n in (2, 3, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1, 1_000_000):
         mc = srm_monte_carlo(source, spec, n_draws=n, seed=13)
-        assert (mc.value, mc.stderr) == _whole_stream_reference(source, spec, n, 13), n
+        reference = _one_array_reference(source, spec, n, 13)
+        if n <= _BLOCK:
+            assert (mc.value, mc.stderr) == reference[:2], n
+        _assert_within_rounding(mc, reference, n)
 
 
-def test_monte_carlo_matches_the_whole_stream_reference_across_two_streams():
+def test_monte_carlo_continues_one_stream_past_2_20_draws():
     source = load_empirical(np.random.default_rng(29).normal(0.3, 1.2, 500))
     spec = WeightSpec.power(0.1)
-    mc = srm_monte_carlo(source, spec, n_draws=(1 << 20) + 3, seed=2)
-    assert (mc.value, mc.stderr) == _whole_stream_reference(source, spec, (1 << 20) + 3, 2)
+    n = (1 << 20) + 3
+    mc = srm_monte_carlo(source, spec, n_draws=n, seed=2)
+    _assert_within_rounding(mc, _one_array_reference(source, spec, n, 2), n)
+
+
+@pytest.mark.parametrize("seed,error", [
+    (None, TypeError),
+    (-1, ValueError),
+    (1.5, TypeError),
+], ids=["none", "negative", "fraction"])
+def test_monte_carlo_refuses_a_seed_that_is_not_a_non_negative_integer(seed, error):
+    # default_rng(None) would draw from fresh OS entropy, so no call could be
+    # repeated
+    with pytest.raises(error):
+        srm_monte_carlo(standard_normal(), WeightSpec.flat(), n_draws=10, seed=seed)
 
 
 @pytest.mark.parametrize("source,overflowing", [
