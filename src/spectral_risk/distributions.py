@@ -247,7 +247,7 @@ def inverse_normal_cdf(p, out=None):
     blocks of _BLOCK elements, and only the branches that some element of a
     block needs are evaluated, in the thread's scratch, so a sorted block,
     such as a replication chunk, usually runs one branch and allocates
-    nothing.  An array result is written into out, a C-contiguous float
+    nothing.  An array result is written into out, a C-contiguous float64
     array shaped like p, when it is given.
     """
     arr = np.asarray(p, dtype=float)
@@ -258,8 +258,9 @@ def inverse_normal_cdf(p, out=None):
         raise ValueError("probability must lie strictly inside (0, 1)")
     if out is None:
         out = np.empty(arr.shape)
-    elif not (out.shape == arr.shape and out.flags.c_contiguous):
-        raise ValueError("out must be a C-contiguous array shaped like p")
+    elif not (isinstance(out, np.ndarray) and out.dtype == np.float64
+              and out.shape == arr.shape and out.flags.c_contiguous):
+        raise ValueError("out must be a float64, C-contiguous array shaped like p")
     z = _blockwise(arr, lo, hi, _ndtri_block, out)
     return float(z) if arr.ndim == 0 else z
 

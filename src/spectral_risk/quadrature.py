@@ -1,35 +1,37 @@
 """Quadrature engines for weight-averaged quantile integrals.
 
-Two schemes are provided.  The replication scheme is a composite Simpson
-rule on a uniform probability grid with an explicit endpoint policy; it is
-simple, deterministic, and converges slowly from below when the integrand
-is singular at p = 1.  It evaluates the two endpoints once, as scalars,
-and the interior in one pass over the lower half of the grid, in chunks
-whose arrays are the same in every pass, one set per thread, with each
-node paired with its mirror 1 - p: a normal source then needs one
-inverse-normal evaluation per pair.  No chunk allocates, so no pass faults
-in pages afresh, whatever else the process has imported.  The pass stops
-at the first chunk whose mirrors all lie below the p where the weight
-turns zero, es's alpha or the exponential's 1 - 746/a, where exp
-underflows, as every later chunk's do; under clip_epsilon, at the first
-chunk when the clip puts every mirror below it.  The kernel weighs its own
-nodes without the weight's range check.  The converged scheme picks its
-evaluator by what the source is.  A piecewise-linear source has an exact
-closed form in the integrated weight mass, so its only error is float
-rounding, which it bounds.  A normal source is integrated in weight-mass space, where the
-weight leaves the integrand and every family's p = 1 singularity becomes a
-mild logarithmic one that a tanh-sinh rule absorbs; its error is the
-measured difference between successive levels.  A Monte Carlo estimator
-that draws the weight mass uniformly through the same map gives an
-independent cross-check, biased low where the weight holds mass beyond
-p = 1 - 1e-16.  It draws one seeded stream in pieces of the replication
-chunk size, so its temporaries stay under the allocator's mmap threshold,
-and adds the pieces' sums in draw order.
+Two schemes are provided.  The replication scheme, srm_replication, is
+the package's one composite Simpson rule, on a uniform probability grid
+with an explicit endpoint policy; it is simple, deterministic, and
+converges slowly from below when the integrand is singular at p = 1.  It
+evaluates the two endpoints once, as scalars, and the interior in one
+pass over the lower half of the grid, in chunks whose arrays are the
+same in every pass, one set per thread, with each node paired with its
+mirror 1 - p: a normal source then needs one inverse-normal evaluation
+per pair.  No chunk allocates, so no pass faults in pages afresh,
+whatever else the process has imported.  The pass stops at the first
+chunk whose mirrors all lie below the p where the weight turns zero,
+es's alpha or the exponential's 1 - 746/a, where exp underflows, as
+every later chunk's do; under clip_epsilon, at the first chunk when the
+clip puts every mirror below it.  The pass weighs its own nodes without
+the weight's range check.  The converged scheme picks its evaluator by
+what the source is.  A piecewise-linear source has an exact closed form
+in the integrated weight mass, so its only error is float rounding,
+which it bounds.  A normal source is integrated in weight-mass space,
+where the weight leaves the integrand and every family's p = 1
+singularity becomes a mild logarithmic one that a tanh-sinh rule
+absorbs; its error is the measured difference between successive levels.
+A Monte Carlo estimator that draws the weight mass uniformly through the
+same map gives an independent cross-check, biased low where the weight
+holds mass beyond p = 1 - 1e-16.  It draws one seeded stream in pieces
+of the replication chunk size, so its temporaries stay under the
+allocator's mmap threshold, and adds the pieces' sums in draw order.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import threading
 from dataclasses import dataclass, replace
 
@@ -59,7 +61,6 @@ __all__ = [
     "QuadratureConfig",
     "QuadratureResult",
     "MonteCarloResult",
-    "simpson_composite",
     "srm_replication",
     "srm_converged",
     "srm_monte_carlo",
@@ -80,6 +81,11 @@ _ROUNDING = 8.0 * _EPS
 _TS_SPAN = 4.0
 
 
+def _is_integer(x) -> bool:
+    """True for Python and numpy integers, False for bools and floats."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class QuadratureConfig:
     """Settings for the quantile-integral engines.
@@ -96,6 +102,8 @@ class QuadratureConfig:
     rel_tol: float = 1e-6
 
     def __post_init__(self):
+        if not _is_integer(self.n_points):
+            raise ValueError(f"n_points must be an integer, not {self.n_points!r}")
         if self.n_points < 3 or self.n_points % 2 == 0:
             raise ValueError("n_points must be odd and at least 3")
         if self.endpoint_policy not in _ENDPOINT_POLICIES:
@@ -151,11 +159,10 @@ class _Workspace(threading.local):
     traced stress-batch query took about 11,600 faults without the
     workspace, and about 3 with it.
 
-    floats holds eight rows: the nodes, their mirrors and the Simpson
-    values that _chunked_simpson forms, then the weights and the quantiles
-    at the nodes and at their mirrors and the interpolation step that
-    srm_replication's integrand forms; index holds interpolation's segment
-    numbers.
+    floats holds srm_replication's eight rows: the nodes, their mirrors,
+    the chunk's Simpson values, the weights at the nodes and at their
+    mirrors, which become the integrand, the quantiles at both, and the
+    interpolation step; index holds interpolation's segment numbers.
     """
 
     def __init__(self):
@@ -164,87 +171,6 @@ class _Workspace(threading.local):
 
 
 _WORKSPACE = _Workspace()
-
-
-def _chunked_simpson(eval_pair, ends, lo: float, hi: float, n: int,
-                     zero_below: float = -math.inf, work=None) -> float:
-    """Composite Simpson over n grid points, folded about the midpoint.
-
-    n is odd, so node k and its mirror n - 1 - k carry the same Simpson
-    coefficient.  One pass runs over the lower half in chunks of _BLOCK
-    nodes, whose nodes, mirrors and Simpson values are written into the
-    three rows of work, a float array of at least the chunk's width,
-    allocated once when not given: eval_pair(x, x_mirror) returns the
-    integrand at a chunk's nodes and at their mirrors, and the middle node,
-    its own mirror, is counted once.  eval_pair may overwrite x and
-    x_mirror with the nodes it evaluates, which an error then names.  The
-    pass stops at the first chunk whose largest mirror lies below
-    zero_below, where eval_pair must be zero on and after it (es below
-    alpha, the exponential below 1 - 746/a), and adds the +0.0 they sum
-    to.  Chunks start at odd k, so a chunk's even and odd positions are
-    the nodes of coefficient 4 and 2, summed as two strided sums.  ends
-    holds the two endpoint values as scalar (node, value) pairs, the node
-    being lo or hi or the point a policy clips it to.  A value that is not
-    finite raises NumericalError naming its node, as do finite values whose
-    sum overflows.
-    """
-    for x, y in ends:
-        if not math.isfinite(y):
-            raise _not_finite(x)
-    h = (hi - lo) / (n - 1)
-    mid = (n - 1) // 2
-    (_, y_lo), (_, y_hi) = ends
-    total = y_lo + y_hi
-    if work is None:
-        work = np.empty((3, min(_BLOCK, mid)))
-    for start in range(1, mid + 1, _BLOCK):
-        if (n - 1 - start) * h + lo < zero_below:
-            total += 0.0  # turns a total of -0.0 into +0.0
-            break
-        stop = min(start + _BLOCK, mid + 1)
-        x, x_mirror, y = work[:, :stop - start]
-        np.add(_OFFSETS[:stop - start], start, out=x)
-        np.subtract(n - 1, x, out=x_mirror)
-        for nodes in (x, x_mirror):
-            nodes *= h
-            nodes += lo
-        f, f_mirror = eval_pair(x, x_mirror)
-        with np.errstate(over="ignore"):  # an overflowing sum is raised below
-            np.add(f, f_mirror, out=y)
-            if stop == mid + 1:
-                y[-1] *= 0.5
-            part = 4.0 * float(y[0::2].sum()) + 2.0 * float(y[1::2].sum())
-        if not math.isfinite(part):
-            for nodes, values in ((x, f), (x_mirror, f_mirror)):
-                bad = ~np.isfinite(values)
-                if np.any(bad):
-                    raise _not_finite(nodes[np.argmax(bad)])
-        total += part
-    value = total * h / 3.0
-    if not math.isfinite(value):
-        raise NumericalError(
-            f"the {n:,}-node Simpson sum overflows a double; try the converged scheme"
-        )
-    return value
-
-
-def simpson_composite(f, lo: float, hi: float, n_points: int) -> float:
-    """Composite Simpson estimate of the integral of f over [lo, hi]."""
-    if n_points < 3 or n_points % 2 == 0:
-        raise ValueError("n_points must be odd and at least 3")
-    if not lo < hi:
-        raise ValueError("need lo < hi")
-
-    def values(x):
-        y = np.asarray(f(x), dtype=float)
-        if y.shape != x.shape:
-            raise NumericalError("integrand must return one value per node")
-        return y
-
-    y_lo, y_hi = (float(y) for y in values(np.array([lo, hi])))
-    return _chunked_simpson(
-        lambda x, x_mirror: (values(x), values(x_mirror)), ((lo, y_lo), (hi, y_hi)), lo, hi, n_points
-    )
 
 
 def _endpoint_integrand(source: QuantileSource, spec: WeightSpec, p: float) -> float:
@@ -261,45 +187,77 @@ def _endpoint_integrand(source: QuantileSource, spec: WeightSpec, p: float) -> f
 def srm_replication(
     source: QuantileSource, spec: WeightSpec, config: QuadratureConfig | None = None
 ) -> QuadratureResult:
-    """Spectral risk measure by composite Simpson on a uniform p grid."""
+    """Spectral risk measure by composite Simpson on a uniform p grid.
+
+    The grid's n nodes are odd in number, so node k and its mirror
+    n - 1 - k carry the same Simpson coefficient.  One pass runs over the
+    lower half in chunks of _BLOCK nodes, which start at odd k, so a
+    chunk's even and odd positions are the nodes of coefficient 4 and 2,
+    summed as two strided sums; the middle node, its own mirror, is counted
+    once.  Under clip_epsilon the nodes are clipped in place, so that an
+    error names the node evaluated.  The pass stops at the first chunk
+    whose largest mirror lies below _zero_below(spec), where the weight is
+    zero on and after it, and adds the +0.0 they sum to.  An integrand
+    value that is not finite raises NumericalError naming its node, as do
+    finite values whose sum overflows.
+    """
     if config is None:
         config = QuadratureConfig()
     if config.scheme != "replication":
         raise ValueError("config.scheme must be 'replication'")
     n = config.n_points
-
-    floats, index = _WORKSPACE.floats, _WORKSPACE.index
     zero_below = _zero_below(spec)
-
-    def integrand(p, p_mirror):
-        size = p.size
-        w, w_mirror, q, q_mirror, step = floats[3:, :size]
-        w, w_mirror = _weight(spec, p, w), _weight(spec, p_mirror, w_mirror)
-        q, q_mirror = _quantile_pair(source, p, p_mirror, (q, q_mirror), (step, index[:size]))
-        with np.errstate(over="ignore"):  # _chunked_simpson names a node that overflows
-            w *= q
-            w_mirror *= q_mirror
-        return w, w_mirror
-
-    if config.endpoint_policy == "clip_epsilon":
+    clip = config.endpoint_policy == "clip_epsilon"
+    if clip:
         eps = config.epsilon
-
-        def eval_pair(p, p_mirror):
-            # clipped in place, so that an error names the node evaluated
-            np.maximum(p, eps, out=p)
-            np.minimum(p_mirror, 1.0 - eps, out=p_mirror)
-            return integrand(p, p_mirror)
-
         ends = [(p, weight(spec, p) * quantile(source, p)) for p in (eps, 1.0 - eps)]
         if 1.0 - eps < zero_below:
             # every mirror is clipped below the zero-weight edge, so every
             # interior node weighs +0.0 and the pass stops at its first chunk
             zero_below = math.inf
     else:
-        eval_pair = integrand
         ends = [(p, _endpoint_integrand(source, spec, p)) for p in (0.0, 1.0)]
-
-    value = _chunked_simpson(eval_pair, ends, 0.0, 1.0, n, zero_below, floats[:3])
+    for p, y in ends:
+        if not math.isfinite(y):
+            raise _not_finite(p)
+    h = 1.0 / (n - 1)
+    mid = (n - 1) // 2
+    total = ends[0][1] + ends[1][1]
+    for start in range(1, mid + 1, _BLOCK):
+        if (n - 1 - start) * h < zero_below:
+            total += 0.0  # turns a total of -0.0 into +0.0
+            break
+        stop = min(start + _BLOCK, mid + 1)
+        size = stop - start
+        p, p_mirror, y, w, w_mirror, q, q_mirror, step = _WORKSPACE.floats[:, :size]
+        np.add(_OFFSETS[:size], start, out=p)
+        np.subtract(n - 1, p, out=p_mirror)
+        p *= h
+        p_mirror *= h
+        if clip:
+            np.maximum(p, eps, out=p)
+            np.minimum(p_mirror, 1.0 - eps, out=p_mirror)
+        _weight(spec, p, w)
+        _weight(spec, p_mirror, w_mirror)
+        _quantile_pair(source, p, p_mirror, (q, q_mirror), (step, _WORKSPACE.index[:size]))
+        with np.errstate(over="ignore"):  # an overflow is named or raised below
+            w *= q
+            w_mirror *= q_mirror
+            np.add(w, w_mirror, out=y)
+            if stop == mid + 1:
+                y[-1] *= 0.5
+            part = 4.0 * float(y[0::2].sum()) + 2.0 * float(y[1::2].sum())
+        if not math.isfinite(part):
+            for nodes, values in ((p, w), (p_mirror, w_mirror)):
+                bad = ~np.isfinite(values)
+                if np.any(bad):
+                    raise _not_finite(nodes[np.argmax(bad)])
+        total += part
+    value = total * h / 3.0
+    if not math.isfinite(value):
+        raise NumericalError(
+            f"the {n:,}-node Simpson sum overflows a double; try the converged scheme"
+        )
     return QuadratureResult(
         value=value,
         n_points=n,
@@ -450,16 +408,20 @@ def srm_monte_carlo(
     about -12 standard errors at c = 0.1 and a million draws.
 
     The draws come from one generator, default_rng([seed]), so a result is
-    reproducible for a given (seed, n_draws), and a seed that is not a
-    non-negative integer, None included, raises.  They are drawn and
-    transformed in pieces of at most _BLOCK, so that every temporary is
-    reused from the heap, and the pieces' sums and sums of squares are
+    reproducible for a given (seed, n_draws), and any seed but a
+    non-negative integer, such as None or True, raises.  They are drawn
+    and transformed in pieces of at most _BLOCK, so that every temporary
+    is reused from the heap, and the pieces' sums and sums of squares are
     added in draw order.  Raises NumericalError when the sum of the draws
     or of their squares overflows a double, so the value or the stderr
     would not be finite.
     """
-    if n_draws < 2:
-        raise ValueError("n_draws must be at least 2")
+    if not _is_integer(n_draws) or n_draws < 2:
+        raise ValueError(f"n_draws must be an integer of at least 2, not {n_draws!r}")
+    if not _is_integer(seed):
+        raise TypeError(f"seed must be a non-negative integer, not {seed!r}")
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, not {seed!r}")
 
     def loss(u):
         p = -np.expm1(_log_tail_probability(spec, u))
@@ -481,7 +443,7 @@ def srm_monte_carlo(
         raise NumericalError(
             f"the sum of the squares of {n_draws:,} Monte Carlo draws overflows a double"
         )
-    return MonteCarloResult(value=mean, stderr=stderr, n_draws=n_draws, seed=seed)
+    return MonteCarloResult(value=mean, stderr=stderr, n_draws=n_draws, seed=int(seed))
 
 
 def convergence_study(

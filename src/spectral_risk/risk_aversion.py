@@ -68,6 +68,9 @@ class WeightSpec:
                     raise ValueError(f"{self.family} family needs parameter {name}")
                 if isinstance(val, bool) or not isinstance(val, numbers.Real):
                     raise ValueError(f"{self.family} parameter {name} must be a real number, not {val!r}")
+                if isinstance(val, np.generic):
+                    # stored as its Python value, so that to_json can write it
+                    object.__setattr__(self, name, val.item())
             elif val is not None:
                 raise ValueError(f"{self.family} family does not take parameter {name}")
         if self.family == "exponential" and not 0.0 < self.a < math.inf:

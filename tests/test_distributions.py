@@ -118,8 +118,11 @@ def test_inverse_normal_cdf_writes_into_out_or_refuses_it():
     mixed = np.random.default_rng(43).random(1000)
     want = inverse_normal_cdf(mixed)
     assert inverse_normal_cdf(mixed, out=mixed).tobytes() == want.tobytes()
-    # a result it could not write through, or of another shape
-    for bad in (np.empty((2, 2)).T, np.empty((4, 2))[::2], np.empty(4)):
+    # a result it could not write through, of another shape or dtype (a
+    # float32 one would round the result), or not an array
+    for bad in (np.empty((2, 2)).T, np.empty((4, 2))[::2], np.empty(4),
+                np.empty((2, 2), dtype=np.float32), np.empty((2, 2), dtype=np.int64),
+                [[0.0, 0.0], [0.0, 0.0]]):
         with pytest.raises(ValueError, match="C-contiguous array shaped like p"):
             inverse_normal_cdf(p, out=bad)
 

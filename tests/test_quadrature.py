@@ -15,7 +15,6 @@ from reference import (
     replication_every_node,
     segment_simpson_srm,
     simpson_grid,
-    simpson_slow,
 )
 from spectral_risk import (
     ConvergenceError,
@@ -27,7 +26,6 @@ from spectral_risk import (
     load_empirical,
     normal,
     quantile,
-    simpson_composite,
     srm_converged,
     srm_monte_carlo,
     srm_replication,
@@ -57,56 +55,39 @@ NORMAL_POWER_REFS = {
 ES_95_CLOSED_FORM = 2.0627128075074275
 
 
-def test_simpson_composite_is_exact_for_cubics():
-    assert simpson_composite(lambda x: x * x, 0.0, 1.0, 11) == pytest.approx(1.0 / 3.0, abs=2e-15)
-    assert simpson_composite(lambda x: x**3, 0.0, 1.0, 11) == pytest.approx(0.25, abs=2e-15)
+def _plant_nan(monkeypatch, at, node):
+    """Make the weight nan at one node: the endpoints are weighed by weight,
+    the interior, nodes and mirrors in their own rows, by _weight."""
+    real = getattr(quadrature, at)
+    if at == "weight":
+        monkeypatch.setattr(quadrature, at, lambda spec, p: math.nan if p == node else real(spec, p))
+    else:
+        def rows(spec, p, out=None):
+            out = real(spec, p, out)
+            out[p == node] = np.nan
+            return out
+        monkeypatch.setattr(quadrature, at, rows)
 
 
-def test_simpson_composite_converges_on_smooth_integrands():
-    got = simpson_composite(np.exp, 0.0, 1.0, 1001)
-    assert got == pytest.approx(math.e - 1.0, abs=1e-10)
-
-
-def test_simpson_composite_matches_slow_oracle():
-    f = lambda x: np.sin(3.0 * x) + x
-    got = simpson_composite(f, 0.0, 2.0, 201)
-    ref = simpson_slow(lambda x: math.sin(3.0 * x) + x, 0.0, 2.0, 201)
-    assert got == pytest.approx(ref, rel=1e-13)
-
-
-def test_simpson_composite_chunking_is_seamless():
-    # grid larger than one evaluation chunk; exact for a linear integrand
-    got = simpson_composite(lambda x: x, 0.0, 1.0, 2_097_153)
-    assert got == pytest.approx(0.5, abs=1e-12)
-
-
-def test_simpson_composite_on_a_single_panel():
-    f = lambda x: np.exp(x) * np.sin(x)
-    ref = simpson_grid(f(np.array([0.0, 0.75, 1.5])), 0.75)
-    assert simpson_composite(f, 0.0, 1.5, 3) == pytest.approx(ref, rel=1e-15)
-
-
-@pytest.mark.parametrize("n,node", [(3, 0.0), (3, 1.0), (5, 0.25), (5, 0.75), (7, 0.5)])
-def test_simpson_composite_names_the_node_that_is_not_finite(n, node):
-    # endpoints, a node of either half, and the middle node
-    f = lambda x: np.where(x == node, np.nan, x)
+@pytest.mark.parametrize("at,policy,eps,n,node", [
+    ("weight", "clip_epsilon", 1e-9, 3, 1e-9),
+    ("weight", "clip_epsilon", 1e-9, 3, 1.0 - 1e-9),
+    ("_weight", "zero_endpoints", 1e-9, 5, 0.25),
+    ("_weight", "zero_endpoints", 1e-9, 5, 0.75),
+    ("_weight", "zero_endpoints", 1e-9, 7, 0.5),
+    # clipped in place: the error names the node the integrand saw
+    ("_weight", "clip_epsilon", 0.3, 5, 0.3),
+    ("_weight", "clip_epsilon", 0.3, 5, 1.0 - 0.3),
+], ids=["clipped-lo", "clipped-hi", "lower-half", "upper-half", "middle", "clipped-node",
+        "clipped-mirror"])
+def test_replication_names_the_node_that_is_not_finite(monkeypatch, at, policy, eps, n, node):
+    _plant_nan(monkeypatch, at, node)
+    config = QuadratureConfig(n_points=n, endpoint_policy=policy, epsilon=eps)
     with pytest.raises(NumericalError, match="not finite") as exc_info:
-        simpson_composite(f, 0.0, 1.0, n)
+        srm_replication(constant(1.0), WeightSpec.flat(), config)
     message = str(exc_info.value)
     assert message.endswith(f"x = {node!r}")
     assert "np.float64" not in message
-
-
-def test_simpson_composite_input_validation():
-    with pytest.raises(ValueError, match="odd"):
-        simpson_composite(np.exp, 0.0, 1.0, 10)
-    with pytest.raises(ValueError, match="lo < hi"):
-        simpson_composite(np.exp, 1.0, 1.0, 11)
-    with pytest.raises(NumericalError, match="not finite") as exc_info, np.errstate(divide="ignore"):
-        simpson_composite(lambda x: 1.0 / x, 0.0, 1.0, 11)
-    assert "np.float64" not in str(exc_info.value)
-    with pytest.raises(NumericalError, match="one value per node"):
-        simpson_composite(lambda x: 1.0, 0.0, 1.0, 11)
 
 
 def test_grid_sum_that_overflows_raises_instead_of_returning_inf():
@@ -116,8 +97,6 @@ def test_grid_sum_that_overflows_raises_instead_of_returning_inf():
         srm_replication(constant(1e306), WeightSpec.flat(), config)
     with pytest.raises(NumericalError, match="3-node Simpson sum overflows"):
         srm_replication(constant(1.7e308), WeightSpec.flat(), QuadratureConfig(n_points=3))
-    with pytest.raises(NumericalError, match="overflows"):
-        simpson_composite(lambda x: np.full_like(x, 1e306), 0.0, 1.0, 100_001)
     # the converged scheme sums no grid, and a smaller level stays priced
     assert srm_converged(constant(1e306), WeightSpec.flat()).value == 1e306
     assert srm_replication(constant(1e300), WeightSpec.flat(), config).value == pytest.approx(1e300)
@@ -128,6 +107,9 @@ def test_quadrature_config_validation():
         QuadratureConfig(n_points=1000)
     with pytest.raises(ValueError, match="odd"):
         QuadratureConfig(n_points=1)
+    with pytest.raises(ValueError, match="n_points must be an integer, not 5.0"):
+        QuadratureConfig(n_points=5.0)
+    assert QuadratureConfig(n_points=np.int64(5)).n_points == 5
     with pytest.raises(ValueError, match="endpoint policy"):
         QuadratureConfig(endpoint_policy="reflect")
     with pytest.raises(ValueError, match="epsilon"):
@@ -709,6 +691,9 @@ def test_monte_carlo_is_reproducible_and_seed_sensitive():
     assert one.stderr == two.stderr
     assert one.value != other.value
     assert one.n_draws == 50_000 and one.seed == 3
+    # a numpy integer seed draws the same stream, and the result holds an int
+    numpy_seed = srm_monte_carlo(src, spec, n_draws=50_000, seed=np.int64(3))
+    assert numpy_seed == one and type(numpy_seed.seed) is int
 
 
 def test_monte_carlo_seeded_value_is_pinned_across_two_chunks():
@@ -807,11 +792,12 @@ def test_monte_carlo_continues_one_stream_past_2_20_draws():
     (None, TypeError),
     (-1, ValueError),
     (1.5, TypeError),
-], ids=["none", "negative", "fraction"])
+    (True, TypeError),
+], ids=["none", "negative", "fraction", "bool"])
 def test_monte_carlo_refuses_a_seed_that_is_not_a_non_negative_integer(seed, error):
     # default_rng(None) would draw from fresh OS entropy, so no call could be
-    # repeated
-    with pytest.raises(error):
+    # repeated, and True would draw as seed 1
+    with pytest.raises(error, match=f"seed must be a non-negative integer, not {seed!r}$"):
         srm_monte_carlo(standard_normal(), WeightSpec.flat(), n_draws=10, seed=seed)
 
 
@@ -846,8 +832,9 @@ def test_monte_carlo_flat_weight_estimates_the_mean():
 
 
 def test_monte_carlo_rejects_tiny_draw_counts():
-    with pytest.raises(ValueError, match="n_draws"):
-        srm_monte_carlo(standard_normal(), WeightSpec.flat(), n_draws=1)
+    for n_draws in (1, 2.5, True):
+        with pytest.raises(ValueError, match="n_draws"):
+            srm_monte_carlo(standard_normal(), WeightSpec.flat(), n_draws=n_draws)
 
 
 def test_convergence_study_rises_toward_the_converged_value():
