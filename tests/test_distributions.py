@@ -118,13 +118,24 @@ def test_inverse_normal_cdf_writes_into_out_or_refuses_it():
     mixed = np.random.default_rng(43).random(1000)
     want = inverse_normal_cdf(mixed)
     assert inverse_normal_cdf(mixed, out=mixed).tobytes() == want.tobytes()
-    # a result it could not write through, of another shape or dtype (a
-    # float32 one would round the result), or not an array
-    for bad in (np.empty((2, 2)).T, np.empty((4, 2))[::2], np.empty(4),
-                np.empty((2, 2), dtype=np.float32), np.empty((2, 2), dtype=np.int64),
-                [[0.0, 0.0], [0.0, 0.0]]):
+    # a result it could not write through, or of another shape
+    for bad in (np.empty((2, 2)).T, np.empty((4, 2))[::2], np.empty(4)):
         with pytest.raises(ValueError, match="C-contiguous array shaped like p"):
             inverse_normal_cdf(p, out=bad)
+
+
+@pytest.mark.parametrize("bad", [
+    pytest.param(np.zeros((2, 2), dtype=np.float32), id="float32"),
+    pytest.param(np.zeros((2, 2), dtype=np.int64), id="int64"),
+    pytest.param([[0.0, 0.0], [0.0, 0.0]], id="list"),
+])
+def test_inverse_normal_cdf_refuses_an_out_it_cannot_fill_exactly(bad):
+    # a float32 out would round the result, an int64 one could not hold it,
+    # and a list is no array to write into; each is refused, left untouched
+    before = np.array(bad).tobytes()
+    with pytest.raises(ValueError, match="must be a float64, C-contiguous array shaped like p"):
+        inverse_normal_cdf(np.array([[1e-12, 0.3], [0.5, 0.99]]), out=bad)
+    assert np.array(bad).tobytes() == before
 
 
 def test_probability_checks_pass_an_empty_array():

@@ -249,11 +249,18 @@ def test_weight_spec_accepts_numpy_scalars():
     spec = WeightSpec(family="power", c=np.float32(0.5))
     assert spec.c == 0.5
     assert WeightSpec(family="es", alpha=np.float64(0.9)).alpha == 0.9
+
+
+@pytest.mark.parametrize("family,name,value,kind,text", [
+    ("power", "c", np.float32(0.5), float, '{"family": "power", "c": 0.5}'),
+    ("exponential", "a", np.int64(5), int, '{"family": "exponential", "a": 5}'),
+], ids=["float32", "int64"])
+def test_weight_spec_with_numpy_scalar_parameters_serialises(family, name, value, kind, text):
     # held as Python values, so the spec serialises and round-trips
-    for spec, text in ((WeightSpec(family="power", c=np.float32(0.5)), '{"family": "power", "c": 0.5}'),
-                       (WeightSpec(family="exponential", a=np.int64(5)), '{"family": "exponential", "a": 5}')):
-        assert spec.to_json() == text
-        assert WeightSpec.from_json(text) == spec
+    spec = WeightSpec(family=family, **{name: value})
+    assert type(getattr(spec, name)) is kind
+    assert spec.to_json() == text
+    assert WeightSpec.from_json(text) == spec
 
 
 def test_ara_recovers_the_exponential_parameter():
