@@ -17,8 +17,8 @@ import numpy as np
 
 from .distributions import QuantileSource, load_empirical
 from .measures import srm, var
-from .quadrature import QuadratureConfig
-from .risk_aversion import _PARAMETER, WeightSpec, weight
+from .quadrature import QuadratureConfig, _seed
+from .risk_aversion import _PARAMETER, WeightSpec, _integer, weight
 
 __all__ = [
     "SweepResult",
@@ -103,7 +103,7 @@ def find_peak(result: SweepResult) -> tuple[float, float]:
 
 def weight_curve(spec: WeightSpec, n_points: int = 1001, p_max: float = 0.999) -> list[tuple[float, float]]:
     """Sample the weight function on [0, p_max] for plotting or export."""
-    if n_points < 2:
+    if _integer("n_points", n_points) < 2:
         raise ValueError("n_points must be at least 2")
     if not 0.0 < p_max < 1.0:
         raise ValueError("p_max must lie in (0, 1)")
@@ -135,10 +135,11 @@ def subadditivity_check(measure: WeightSpec, sample_size: int = 500, trials: int
     flags measure(a + b) > measure(a) + measure(b) beyond rounding slack
     as a violation.
     """
-    if sample_size < 2:
+    if _integer("sample_size", sample_size) < 2:
         raise ValueError("sample_size must be at least 2")
-    if trials < 1:
+    if _integer("trials", trials) < 1:
         raise ValueError("trials must be at least 1")
+    seed = _seed(seed)
     if not isinstance(measure, WeightSpec):
         raise TypeError(f"measure must be a WeightSpec, not {type(measure).__name__}")
     if config is None:
@@ -160,7 +161,7 @@ def subadditivity_check(measure: WeightSpec, sample_size: int = 500, trials: int
             violations += 1
         worst_gap = max(worst_gap, gap)
     return SubadditivityReport(
-        trials=trials, violations=violations, worst_gap=float(worst_gap), seed=seed
+        trials=int(trials), violations=violations, worst_gap=float(worst_gap), seed=seed
     )
 
 
@@ -177,6 +178,8 @@ def var_subadditivity_counterexample(alpha: float = 0.95, loss: float = 10.0,
         raise ValueError("alpha must lie in (0, 1)")
     if not 0.0 < tail_prob < 1.0:
         raise ValueError("tail_prob must lie in (0, 1)")
+    if not math.isfinite(2.0 * float(loss)):
+        raise ValueError(f"loss must be a number whose double is finite, not {loss!r}")
     n = 1000
     k = int(round(tail_prob * n))
     if k == 0 or k == n:

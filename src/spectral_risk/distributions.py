@@ -84,22 +84,26 @@ _NEAR_END, _FAR_END = 5.0, 27.0
 _MILLS = (-945.0, 105.0, -15.0, 3.0, -1.0, 1.0)
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 # elements per block: a row of 8,192 doubles is 64 KiB, under glibc's 128 KiB
-# mmap threshold, so a freed one is reused from the heap.  The inverse normal's
-# scratch, a replication chunk and a Monte Carlo piece are one block each;
-# changing it changes how every replication and Monte Carlo sum is grouped.
+# mmap threshold, so a freed one is reused from the heap.  A quantile block, a
+# replication chunk and a Monte Carlo piece are one block each; changing it
+# changes how every replication and Monte Carlo sum is grouped.
 _BLOCK = 1 << 13
 
 
 class _Scratch(threading.local):
-    """The block-sized arrays of the inverse normal, made once per thread:
-    nine float rows and two masks.  Each branch runs either over a whole
-    block or over its own elements gathered into these rows, so a block
-    that takes one branch allocates nothing, and one that mixes them only
-    the index array of its gathered elements."""
+    """The package's block-sized rows, made once per thread: floats and masks
+    are the inverse normal's, step and index interpolation's, and chunk
+    srm_replication's seven.  Temporaries freed on every block were faulted
+    in afresh whenever glibc trimmed its heap: a traced stress-batch query
+    took about 11,600 faults without these rows, and 3 with them.  Each
+    thread has its own; within one, no user of a row may re-enter itself."""
 
     def __init__(self):
         self.floats = np.empty((9, _BLOCK))
         self.masks = np.empty((2, _BLOCK), dtype=bool)
+        self.step = np.empty(_BLOCK)
+        self.index = np.empty(_BLOCK, dtype=np.intp)
+        self.chunk = np.empty((7, _BLOCK))
 
 
 _SCRATCH = _Scratch()
@@ -394,23 +398,20 @@ def _parse_lines(path, lines: list, start: int) -> list:
     return losses
 
 
-def _interpolate(source: QuantileSource, p, out=None, work=None):
-    """Order-statistic interpolation at the array p in [0, 1]; a single
-    sample is flat.
+def _interpolate(source: QuantileSource, p, out):
+    """Order-statistic interpolation at p, a 1-d array in [0, 1] of at most
+    _BLOCK elements, into out, an array like it; a single sample is flat.
 
     The m samples are knots at the uniform p = j / (m - 1), so p falls in
     segment j = floor(p (m - 1)), and p = 1 ends the last segment; the value
-    is samples[j] + steps[j] (p (m - 1) - j).  It is written into out, and
-    work, a float and an intp array shaped like p, holds the intermediates;
-    each is allocated when not given.
+    is samples[j] + steps[j] (p (m - 1) - j), with the intermediates in the
+    scratch's step and index rows.
     """
     samples, m = source.samples, source.samples.size
-    if out is None:
-        out = np.empty(np.shape(p))
     if m == 1:
         out.fill(samples[0])
         return out
-    step, j = (np.empty(np.shape(p)), np.empty(np.shape(p), dtype=np.intp)) if work is None else work
+    step, j = _SCRATCH.step[:p.size], _SCRATCH.index[:p.size]
     t = np.multiply(p, m - 1, out=out)
     # the segment is found as a float and then copied to j, since t -= j would
     # cast j to float through a temporary
@@ -435,7 +436,8 @@ def quantile(source: QuantileSource, p):
     else:
         if not (arr.min(initial=0.5) > 0.0 and arr.max(initial=0.5) < 1.0):
             raise ValueError("probability must lie strictly inside (0, 1)")
-        out = _interpolate(source, arr)
+        out = _blockwise(arr, 0.0, 1.0, lambda block, lo, hi, out: _interpolate(source, block, out),
+                         np.empty(arr.shape))
     return float(out) if arr.ndim == 0 else out
 
 
@@ -447,20 +449,20 @@ def _limit_quantile(source: QuantileSource, p: float) -> float:
     return float(source.samples[0] if p == 0.0 else source.samples[-1])
 
 
-def _quantile_pair(source: QuantileSource, p, p_mirror, out=(None, None), work=None):
-    """Quantiles at the arrays p <= 1/2 and p_mirror, their mirrors 1 - p
-    up to rounding, written into the pair of arrays out when it is given.
-    A normal source evaluates the inverse normal once, at the lower-tail p
-    where it is accurate, and reflects it for the mirror; an empirical
-    source interpolates at both, with work as _interpolate's."""
-    q, q_mirror = out
+def _quantile_pair(source: QuantileSource, p, p_mirror, q, q_mirror):
+    """Quantiles at the rows p <= 1/2 and p_mirror, their mirrors 1 - p up
+    to rounding, written into the rows q and q_mirror.  A normal source
+    evaluates the inverse normal once, at the lower-tail p where it is
+    accurate, and reflects it for the mirror; an empirical source
+    interpolates at both."""
     if source.kind == "normal":
-        dz = inverse_normal_cdf(p, out=q)
-        dz *= source.sd
-        q_mirror = np.subtract(source.mean, dz, out=q_mirror)
-        dz += source.mean
-        return dz, q_mirror
-    return _interpolate(source, p, q, work), _interpolate(source, p_mirror, q_mirror, work)
+        inverse_normal_cdf(p, out=q)
+        q *= source.sd
+        np.subtract(source.mean, q, out=q_mirror)
+        q += source.mean
+    else:
+        _interpolate(source, p, q)
+        _interpolate(source, p_mirror, q_mirror)
 
 
 def _upper_block(log_t, lo, hi, out):

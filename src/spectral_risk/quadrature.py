@@ -5,40 +5,34 @@ the package's one composite Simpson rule, on a uniform probability grid
 with an explicit endpoint policy; it is simple, deterministic, and
 converges slowly from below when the integrand is singular at p = 1.  It
 evaluates the two endpoints once, as scalars, and the interior in one
-pass over the lower half of the grid, in chunks whose arrays are the
-same in every pass, one set per thread, with each node paired with its
+pass over the lower half of the grid, with each node paired with its
 mirror 1 - p: a normal source then needs one inverse-normal evaluation
-per pair.  No chunk allocates, so no pass faults in pages afresh,
-whatever else the process has imported.  The pass stops at the first
-chunk whose mirrors all lie below the p where the weight turns zero,
-es's alpha or the exponential's 1 - 746/a, where exp underflows, as
-every later chunk's do; under clip_epsilon, at the first chunk when the
-clip puts every mirror below it.  The pass weighs its own nodes without
-the weight's range check.  The converged scheme picks its evaluator by
-what the source is.  A piecewise-linear source has an exact closed form
-in the integrated weight mass, so its only error is float rounding,
-which it bounds.  A normal source is integrated in weight-mass space,
-where the weight leaves the integrand and every family's p = 1
-singularity becomes a mild logarithmic one that a tanh-sinh rule
-absorbs; its error is the measured difference between successive levels.
-A Monte Carlo estimator that draws the weight mass uniformly through the
-same map gives an independent cross-check, biased low where the weight
-holds mass beyond p = 1 - 1e-16.  It draws one seeded stream in pieces
-of the replication chunk size, so its temporaries stay under the
-allocator's mmap threshold, and adds the pieces' sums in draw order.
+per pair.  Each chunk of the pass is held in rows of the thread's
+scratch, distributions._SCRATCH, and weighed without the weight's range
+check, and the pass stops where the weight turns zero for good.  The
+converged scheme picks its evaluator by what the source is.  A
+piecewise-linear source has an exact closed form in the integrated
+weight mass, so its only error is float rounding, which it bounds.  A
+normal source is integrated in weight-mass space, where the weight
+leaves the integrand and every family's p = 1 singularity becomes a mild
+logarithmic one that a tanh-sinh rule absorbs; its error is the measured
+difference between successive levels.  A Monte Carlo estimator that
+draws the weight mass uniformly through the same map gives an
+independent cross-check, biased low where the weight holds mass beyond
+p = 1 - 1e-16.  It draws one seeded stream in pieces of the replication
+chunk size and adds the pieces' sums in draw order.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
-import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .distributions import (
     _BLOCK,
+    _SCRATCH,
     QuantileSource,
     _limit_quantile,
     _linear_knots,
@@ -50,8 +44,11 @@ from .distributions import (
 from .errors import ConvergenceError, NumericalError, SingularityError
 from .risk_aversion import (
     WeightSpec,
+    _integer,
+    _is_integer,
     _log_tail_probability,
     _mass_integral,
+    _real,
     _weight,
     _zero_below,
     weight,
@@ -81,9 +78,21 @@ _ROUNDING = 8.0 * _EPS
 _TS_SPAN = 4.0
 
 
-def _is_integer(x) -> bool:
-    """True for Python and numpy integers, False for bools and floats."""
-    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+def _rel_tol(rel_tol):
+    """rel_tol as a Python number, for a positive real number."""
+    rel_tol = _real("rel_tol", rel_tol)
+    if not rel_tol > 0.0:
+        raise ValueError("rel_tol must be positive")
+    return rel_tol
+
+
+def _seed(seed) -> int:
+    """seed as a Python int; TypeError for a non-integer, such as None or True."""
+    if not _is_integer(seed):
+        raise TypeError(f"seed must be a non-negative integer, not {seed!r}")
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, not {seed!r}")
+    return int(seed)
 
 
 @dataclass(frozen=True)
@@ -102,18 +111,17 @@ class QuadratureConfig:
     rel_tol: float = 1e-6
 
     def __post_init__(self):
-        if not _is_integer(self.n_points):
-            raise ValueError(f"n_points must be an integer, not {self.n_points!r}")
+        object.__setattr__(self, "n_points", _integer("n_points", self.n_points))
         if self.n_points < 3 or self.n_points % 2 == 0:
             raise ValueError("n_points must be odd and at least 3")
         if self.endpoint_policy not in _ENDPOINT_POLICIES:
             raise ValueError(f"unknown endpoint policy {self.endpoint_policy!r}")
+        object.__setattr__(self, "epsilon", _real("epsilon", self.epsilon))
         if not 2.0**-54 < self.epsilon < 0.5:
             raise ValueError("epsilon must lie in (2**-54, 0.5), where 1 - epsilon stays below 1")
         if self.scheme not in _SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}")
-        if not self.rel_tol > 0.0:
-            raise ValueError("rel_tol must be positive")
+        object.__setattr__(self, "rel_tol", _rel_tol(self.rel_tol))
 
 
 @dataclass(frozen=True)
@@ -146,31 +154,6 @@ class MonteCarloResult:
 
 def _not_finite(x: float) -> NumericalError:
     return NumericalError(f"integrand not finite at node x = {float(x)!r}")
-
-
-class _Workspace(threading.local):
-    """The chunk-sized arrays of replication passes, made once per thread.
-
-    Every pass in a thread writes into the same arrays, so threads never
-    share them, and one pass must not start inside another in the same
-    thread; a chunk allocates nothing.  Temporaries freed on every chunk
-    were faulted in afresh whenever glibc trimmed the top of its heap, which
-    it did unless other live objects happened to hold that memory down: a
-    traced stress-batch query took about 11,600 faults without the
-    workspace, and about 3 with it.
-
-    floats holds srm_replication's eight rows: the nodes, their mirrors,
-    the chunk's Simpson values, the weights at the nodes and at their
-    mirrors, which become the integrand, the quantiles at both, and the
-    interpolation step; index holds interpolation's segment numbers.
-    """
-
-    def __init__(self):
-        self.floats = np.empty((8, _BLOCK))
-        self.index = np.empty(_BLOCK, dtype=np.intp)
-
-
-_WORKSPACE = _Workspace()
 
 
 def _endpoint_integrand(source: QuantileSource, spec: WeightSpec, p: float) -> float:
@@ -229,7 +212,7 @@ def srm_replication(
             break
         stop = min(start + _BLOCK, mid + 1)
         size = stop - start
-        p, p_mirror, y, w, w_mirror, q, q_mirror, step = _WORKSPACE.floats[:, :size]
+        p, p_mirror, y, w, w_mirror, q, q_mirror = _SCRATCH.chunk[:, :size]
         np.add(_OFFSETS[:size], start, out=p)
         np.subtract(n - 1, p, out=p_mirror)
         p *= h
@@ -239,7 +222,7 @@ def srm_replication(
             np.minimum(p_mirror, 1.0 - eps, out=p_mirror)
         _weight(spec, p, w)
         _weight(spec, p_mirror, w_mirror)
-        _quantile_pair(source, p, p_mirror, (q, q_mirror), (step, _WORKSPACE.index[:size]))
+        _quantile_pair(source, p, p_mirror, q, q_mirror)
         with np.errstate(over="ignore"):  # an overflow is named or raised below
             w *= q
             w_mirror *= q_mirror
@@ -378,8 +361,7 @@ def srm_converged(
     ConvergenceError, carrying the best estimate and its bound in the
     source's units, when rel_tol is below what either can certify.
     """
-    if not rel_tol > 0.0:
-        raise ValueError("rel_tol must be positive")
+    rel_tol = _rel_tol(rel_tol)
     loc, scale, source = _standard_form(source)
     x = _linear_knots(source)
     if x is None:
@@ -410,18 +392,14 @@ def srm_monte_carlo(
     The draws come from one generator, default_rng([seed]), so a result is
     reproducible for a given (seed, n_draws), and any seed but a
     non-negative integer, such as None or True, raises.  They are drawn
-    and transformed in pieces of at most _BLOCK, so that every temporary
-    is reused from the heap, and the pieces' sums and sums of squares are
-    added in draw order.  Raises NumericalError when the sum of the draws
-    or of their squares overflows a double, so the value or the stderr
-    would not be finite.
+    and transformed in pieces of at most _BLOCK, and the pieces' sums and
+    sums of squares are added in draw order.  Raises NumericalError when
+    the sum of the draws or of their squares overflows a double, so the
+    value or the stderr would not be finite.
     """
     if not _is_integer(n_draws) or n_draws < 2:
         raise ValueError(f"n_draws must be an integer of at least 2, not {n_draws!r}")
-    if not _is_integer(seed):
-        raise TypeError(f"seed must be a non-negative integer, not {seed!r}")
-    if seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, not {seed!r}")
+    n_draws, seed = int(n_draws), _seed(seed)
 
     def loss(u):
         p = -np.expm1(_log_tail_probability(spec, u))
@@ -443,7 +421,7 @@ def srm_monte_carlo(
         raise NumericalError(
             f"the sum of the squares of {n_draws:,} Monte Carlo draws overflows a double"
         )
-    return MonteCarloResult(value=mean, stderr=stderr, n_draws=n_draws, seed=int(seed))
+    return MonteCarloResult(value=mean, stderr=stderr, n_draws=n_draws, seed=seed)
 
 
 def convergence_study(
@@ -455,8 +433,9 @@ def convergence_study(
     with n_points replaced by that row's n, so the config's endpoint
     policy and epsilon apply to every row.
     """
-    ns = [int(n) for n in n_list]
-    if not ns:
-        raise ValueError("n_list must not be empty")
     config = config or QuadratureConfig()
-    return [(n, srm_replication(source, spec, replace(config, n_points=n)).value) for n in ns]
+    # every size is checked before the first pass
+    configs = [replace(config, n_points=n) for n in n_list]
+    if not configs:
+        raise ValueError("n_list must not be empty")
+    return [(c.n_points, srm_replication(source, spec, c).value) for c in configs]

@@ -38,6 +38,25 @@ __all__ = [
 _PARAMETER = {"exponential": "a", "power": "c", "es": "alpha", "flat": None}
 
 
+def _is_integer(x) -> bool:
+    """True for Python and numpy integers, False for bools and floats."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
+def _integer(name: str, x) -> int:
+    """x as a Python int, for an integer; else a ValueError names name and x."""
+    if not _is_integer(x):
+        raise ValueError(f"{name} must be an integer, not {x!r}")
+    return int(x)
+
+
+def _real(name: str, x):
+    """x as a Python number, for a real number but a bool; else a ValueError names x."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Real):
+        raise ValueError(f"{name} must be a real number, not {x!r}")
+    return x.item() if isinstance(x, np.generic) else x
+
+
 @dataclass(frozen=True)
 class WeightSpec:
     """A parametric weight family plus its parameter values.
@@ -66,11 +85,7 @@ class WeightSpec:
             if name == want:
                 if val is None:
                     raise ValueError(f"{self.family} family needs parameter {name}")
-                if isinstance(val, bool) or not isinstance(val, numbers.Real):
-                    raise ValueError(f"{self.family} parameter {name} must be a real number, not {val!r}")
-                if isinstance(val, np.generic):
-                    # stored as its Python value, so that to_json can write it
-                    object.__setattr__(self, name, val.item())
+                object.__setattr__(self, name, _real(f"{self.family} parameter {name}", val))
             elif val is not None:
                 raise ValueError(f"{self.family} family does not take parameter {name}")
         if self.family == "exponential" and not 0.0 < self.a < math.inf:
@@ -371,7 +386,7 @@ def check_admissibility(spec: WeightSpec, grid_size: int = 1001) -> Admissibilit
     construction: every family is normalised, and every family but flat
     rises.
     """
-    if grid_size < 3:
+    if _integer("grid_size", grid_size) < 3:
         raise ValueError("grid_size must be at least 3")
     if not isinstance(spec, WeightSpec):
         raise TypeError(f"spec must be a WeightSpec, not {type(spec).__name__}")
@@ -390,5 +405,5 @@ def check_admissibility(spec: WeightSpec, grid_size: int = 1001) -> Admissibilit
         increasingness=bool(np.all(rises >= -1e-12)),
         increasingness_worst=(float(ps[j]), float(ps[j + 1]), float(rises[j])),
         strict_rise=spec.family != "flat",
-        grid_size=grid_size,
+        grid_size=int(grid_size),
     )

@@ -1,5 +1,9 @@
 """Sweeps, subadditivity experiments, and CSV export."""
 
+import json
+import math
+import re
+
 import numpy as np
 import pytest
 
@@ -7,6 +11,7 @@ from spectral_risk import (
     QuadratureConfig,
     SweepResult,
     WeightSpec,
+    check_admissibility,
     convergence_study,
     convergence_to_csv,
     curve_to_csv,
@@ -114,6 +119,50 @@ def test_subadditivity_check_validation():
         subadditivity_check("var", sample_size=10, trials=5)
     with pytest.raises(TypeError, match="must be a WeightSpec, not function"):
         subadditivity_check(lambda src: var(src, 0.99), sample_size=10, trials=5)
+
+
+@pytest.mark.parametrize("call,error,message", [
+    # unchecked, True would run as seed 1, and None would fail inside numpy
+    (lambda: subadditivity_check(WeightSpec.flat(), sample_size=2, trials=1, seed=True),
+     TypeError, "seed must be a non-negative integer, not True"),
+    (lambda: subadditivity_check(WeightSpec.flat(), sample_size=2, trials=1, seed=None),
+     TypeError, "seed must be a non-negative integer, not None"),
+    (lambda: subadditivity_check(WeightSpec.flat(), sample_size=2, trials=1, seed=-1),
+     ValueError, "seed must be a non-negative integer, not -1"),
+    # each would fail inside numpy or range() with a TypeError naming neither
+    (lambda: subadditivity_check(WeightSpec.flat(), sample_size=2.5, trials=1),
+     ValueError, "sample_size must be an integer, not 2.5"),
+    (lambda: subadditivity_check(WeightSpec.flat(), sample_size=2, trials=1.5),
+     ValueError, "trials must be an integer, not 1.5"),
+    (lambda: check_admissibility(WeightSpec.flat(), grid_size=1001.0),
+     ValueError, "grid_size must be an integer, not 1001.0"),
+    (lambda: weight_curve(WeightSpec.flat(), n_points=2.5),
+     ValueError, "n_points must be an integer, not 2.5"),
+    # nan would be reported as a bad row 961 of the joint samples, and 1e308
+    # doubles to inf with an overflow warning first
+    (lambda: var_subadditivity_counterexample(loss=math.nan),
+     ValueError, "loss must be a number whose double is finite, not nan"),
+    (lambda: var_subadditivity_counterexample(loss=1e308),
+     ValueError, "loss must be a number whose double is finite, not 1e+308"),
+    (lambda: var_subadditivity_counterexample(loss=-math.inf),
+     ValueError, "loss must be a number whose double is finite, not -inf"),
+], ids=["seed-bool", "seed-none", "seed-negative", "sample_size-fraction", "trials-fraction",
+        "grid_size-float", "weight_curve-n_points-fraction", "loss-nan", "loss-1e308", "loss-minus-inf"])
+def test_analysis_and_admissibility_inputs_are_checked_where_they_enter(call, error, message):
+    with pytest.raises(error, match=re.escape(message) + "$"):
+        call()
+
+
+def test_reports_hold_numpy_integers_as_python_ints():
+    # a numpy integer in a report would make its to_dict unwritable by json
+    got = subadditivity_check(WeightSpec.flat(), sample_size=np.int64(20), trials=np.int64(2),
+                              seed=np.int64(3), config=FAST)
+    assert (type(got.trials), type(got.seed)) == (int, int)
+    assert got == subadditivity_check(WeightSpec.flat(), sample_size=20, trials=2, seed=3, config=FAST)
+    assert json.loads(json.dumps(got.to_dict())) == got.to_dict()
+    report = check_admissibility(WeightSpec.flat(), grid_size=np.int64(11))
+    assert type(report.grid_size) is int
+    assert json.loads(json.dumps(report.to_dict()))["grid_size"] == 11
 
 
 def test_merging_a_position_with_itself_doubles_the_measure_exactly():

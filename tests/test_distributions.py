@@ -158,28 +158,32 @@ def test_inverse_normal_cdf_on_the_lower_half_is_the_reflection_bit_for_bit(ps):
     assert folded.tobytes() == inverse_normal_cdf(p).tobytes()
 
 
-def test_each_thread_evaluates_the_inverse_normal_in_its_own_scratch():
+def test_each_thread_evaluates_quantiles_in_its_own_scratch():
     # numpy releases the interpreter lock inside its loops, so threads that
-    # shared the scratch would overwrite each other's branches; these
-    # unsorted blocks take every branch but the asymptotic one, some by
-    # gathering their elements
+    # shared the scratch would overwrite each other's rows; the unsorted
+    # normal blocks take every branch but the asymptotic one, some by
+    # gathering their elements, and the empirical ones interpolate through
+    # the step and index rows
     rng = np.random.default_rng(41)
+    n = 3 * 8192 + 5
     inputs = []
     for _ in range(4):  # more threads than the two cores of a small runner
-        n = 3 * 8192 + 5
         p = np.where(rng.random(n) < 0.5, np.exp(-700.0 * rng.random(n)), rng.random(n))
-        inputs.append(np.clip(p, 1e-300, 1.0 - 2.0**-53))
-    expected = [[inverse_normal_cdf(p).tobytes()] * 20 for p in inputs]
+        inputs.append((inverse_normal_cdf, np.clip(p, 1e-300, 1.0 - 2.0**-53)))
+    for m in (1001, 7, 50_000, 2):
+        source = load_empirical(rng.standard_t(3, m))
+        inputs.append((lambda p, source=source: quantile(source, p), rng.random(n)))
+    expected = [[f(p).tobytes()] * 40 for f, p in inputs]
     start = threading.Barrier(len(inputs))
     got = [[] for _ in inputs]
 
-    def evaluate(p, values):
+    def evaluate(f, p, values):
         start.wait(timeout=60.0)
-        for _ in range(20):
-            values.append(inverse_normal_cdf(p).tobytes())
+        for _ in range(40):
+            values.append(f(p).tobytes())
 
-    threads = [threading.Thread(target=evaluate, args=(p, values), daemon=True)
-               for p, values in zip(inputs, got)]
+    threads = [threading.Thread(target=evaluate, args=(*case, values), daemon=True)
+               for case, values in zip(inputs, got)]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -319,6 +323,15 @@ def test_quantile_vector_round_trip_shape():
     out = quantile(standard_normal(), ps)
     assert out.shape == ps.shape
     assert quantile(standard_normal(), 0.999) == out[1, 1]
+    # an empirical source is taken block by block, each block interpolated in
+    # the scratch's rows; every element must be the scalar's bits
+    rng = np.random.default_rng(43)
+    source = load_empirical(rng.lognormal(0.0, 1.0, 1001))
+    ps = rng.random((3, 3 * 8192 + 5))
+    ps[0, :9] = np.arange(1, 10) / 10  # on knots
+    out = quantile(source, ps)
+    assert out.shape == ps.shape
+    assert out.tobytes() == np.array([quantile(source, p) for p in ps.ravel()]).tobytes()
 
 
 def test_read_loss_csv_plain_and_with_header(tmp_path):

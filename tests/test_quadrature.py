@@ -132,6 +132,28 @@ def test_quadrature_config_refuses_a_point_count_that_is_not_an_integer(n_points
         QuadratureConfig(n_points=n_points)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: QuadratureConfig(rel_tol=True),
+    lambda: QuadratureConfig(epsilon=True),
+    lambda: QuadratureConfig(epsilon="x"),
+    lambda: QuadratureConfig(rel_tol="x"),
+    lambda: srm_converged(standard_normal(), WeightSpec.flat(), rel_tol="x"),
+    lambda: srm_converged(standard_normal(), WeightSpec.flat(), rel_tol=None),
+], ids=["config-rel_tol-bool", "config-epsilon-bool", "config-epsilon-str", "config-rel_tol-str",
+        "converged-rel_tol-str", "converged-rel_tol-none"])
+def test_tolerances_must_be_real_numbers_other_than_bool(make):
+    # unchecked, True would compare as 1, and a string would fail inside a
+    # comparison with a TypeError that names neither the argument nor its value
+    with pytest.raises(ValueError, match=r"(epsilon|rel_tol) must be a real number, not (True|'x'|None)$"):
+        make()
+
+
+def test_tolerances_given_as_numpy_scalars_are_held_as_python_numbers():
+    config = QuadratureConfig(epsilon=np.float32(0.125), rel_tol=np.int64(1))
+    assert (type(config.epsilon), config.epsilon) == (float, 0.125)
+    assert (type(config.rel_tol), config.rel_tol) == (int, 1)
+
+
 def test_replication_recovers_a_constant_loss_with_a_steep_weight():
     config = QuadratureConfig(n_points=1001)
     result = srm_replication(constant(4.2), WeightSpec.exponential(a=25.0), config)
@@ -226,6 +248,13 @@ def test_replication_matches_the_whole_grid_simpson_reference(source, spec, poli
         assert abs(got - ref) <= max(1e-12 * abs(ref), 1e-15), n
 
 
+def quantile_pair(source, p, p_mirror):
+    """The quantiles that _quantile_pair writes into two new arrays."""
+    q, q_mirror = np.empty_like(p), np.empty_like(p_mirror)
+    _quantile_pair(source, p, p_mirror, q, q_mirror)
+    return q, q_mirror
+
+
 @pytest.mark.parametrize("policy,eps", [
     ("zero_endpoints", QuadratureConfig.epsilon),
     ("clip_epsilon", QuadratureConfig.epsilon),
@@ -264,7 +293,7 @@ def test_replication_matches_the_every_node_reference_bitwise(source, policy, ep
             config = QuadratureConfig(n_points=n, endpoint_policy=policy, epsilon=eps)
             got = srm_replication(source, spec, config).value
             ref = replication_every_node(
-                lambda p, p_mirror: _quantile_pair(source, p, p_mirror),
+                lambda p, p_mirror: quantile_pair(source, p, p_mirror),
                 lambda p: weight(spec, p), n, policy, eps, ends, _BLOCK,
             )
             assert got.hex() == ref.hex(), (spec, n)
@@ -838,6 +867,14 @@ def test_monte_carlo_flat_weight_estimates_the_mean():
     assert abs(mc.value - 0.5) <= 5.0 * mc.stderr
 
 
+def test_monte_carlo_reports_python_numbers_for_a_numpy_draw_count():
+    spec = WeightSpec.power(0.5)
+    got = srm_monte_carlo(standard_normal(), spec, n_draws=np.int64(10), seed=3)
+    want = srm_monte_carlo(standard_normal(), spec, n_draws=10, seed=3)
+    assert type(got.n_draws) is int and type(got.value) is float and type(got.stderr) is float
+    assert (got.value.hex(), got.stderr.hex(), got.n_draws) == (want.value.hex(), want.stderr.hex(), 10)
+
+
 def test_monte_carlo_rejects_tiny_draw_counts():
     for n_draws in (1, 2.5, True):
         with pytest.raises(ValueError, match="n_draws"):
@@ -872,3 +909,10 @@ def test_convergence_study_validates_input():
         convergence_study(standard_normal(), WeightSpec.flat(), [])
     with pytest.raises(ValueError, match="odd"):
         convergence_study(standard_normal(), WeightSpec.flat(), [1000])
+
+
+@pytest.mark.parametrize("n", [5.5, "7", np.float64(7.0)], ids=["fraction", "string", "numpy-float"])
+def test_convergence_study_refuses_a_size_that_is_not_an_integer(n):
+    # int(n) would turn 5.5 into a 5-point row and read "7" as 7
+    with pytest.raises(ValueError, match=re.escape(f"n_points must be an integer, not {n!r}") + "$"):
+        convergence_study(standard_normal(), WeightSpec.flat(), [101, n])
