@@ -218,21 +218,20 @@ def _standard_quantile(x, q, q_lo, q_hi, tail_log, out):
     return out
 
 
-def _blockwise(x, lo, hi, evaluate, out):
-    """evaluate(block, lo, hi, out_block) over blocks of _BLOCK elements of
-    x, an array within [lo, hi], and of out, a C-contiguous array shaped
-    like x; each block of a larger x takes its own bounds."""
+def _blockwise(x, evaluate, out):
+    """evaluate(block, out_block) over blocks of _BLOCK elements of x, an
+    array, and of out, a C-contiguous array shaped like x."""
     flat, flat_out = x.reshape(-1), out.reshape(-1)
     for start in range(0, flat.size, _BLOCK):
-        block = flat[start:start + _BLOCK]
-        if flat.size > _BLOCK:
-            lo, hi = block.min(), block.max()
-        evaluate(block, lo, hi, flat_out[start:start + _BLOCK])
+        evaluate(flat[start:start + _BLOCK], flat_out[start:start + _BLOCK])
     return out
 
 
-def _ndtri_block(p, lo, hi, out):
-    """inverse_normal_cdf of a block p within [lo, hi], into out."""
+def _ndtri_block(p, out):
+    """inverse_normal_cdf of a non-empty block p, into out, once p is checked."""
+    lo, hi = p.min(), p.max()
+    if not (lo > 0.0 and hi < 1.0):
+        raise ValueError("probability must lie strictly inside (0, 1)")
 
     def tail_log(p, row):
         low = np.minimum(p, np.subtract(1.0, p, out=row), out=row) if hi > 0.5 else p
@@ -252,20 +251,16 @@ def inverse_normal_cdf(p, out=None):
     block needs are evaluated, in the thread's scratch, so a sorted block,
     such as a replication chunk, usually runs one branch and allocates
     nothing.  An array result is written into out, a C-contiguous float64
-    array shaped like p, when it is given.
+    array shaped like p, when it is given; each block checks its own p, so
+    a p outside (0, 1) raises once the blocks before it are written.
     """
     arr = np.asarray(p, dtype=float)
-    # the initial values let an empty array pass and leave the bounds of any
-    # other exact; a nan fails both tests
-    lo, hi = arr.min(initial=math.inf), arr.max(initial=-math.inf)
-    if not (lo > 0.0 and hi < 1.0):
-        raise ValueError("probability must lie strictly inside (0, 1)")
     if out is None:
         out = np.empty(arr.shape)
     elif not (isinstance(out, np.ndarray) and out.dtype == np.float64
               and out.shape == arr.shape and out.flags.c_contiguous):
         raise ValueError("out must be a float64, C-contiguous array shaped like p")
-    z = _blockwise(arr, lo, hi, _ndtri_block, out)
+    z = _blockwise(arr, _ndtri_block, out)  # an empty array has no block to refuse
     return float(z) if arr.ndim == 0 else z
 
 
@@ -360,8 +355,9 @@ def read_loss_csv(path) -> QuantileSource:
 
     The file is read once, so a pipe or FIFO works as well as a file.  Every
     line is read by Python's float, which numpy applies to the non-empty lines
-    in C; a body it refuses, or reads as non-finite or empty, is parsed again
-    line by line, which skips whitespace-only lines and names the bad line.
+    in C, and the array goes straight to load_empirical.  A body that numpy
+    or load_empirical refuses is parsed again line by line, which skips
+    whitespace-only lines and names the bad line.
     """
     try:
         text = Path(path).read_text(encoding=_ENCODING)
@@ -370,12 +366,10 @@ def read_loss_csv(path) -> QuantileSource:
     lines = text.splitlines()
     start = 1 if lines and lines[0].strip().lower() == "loss" else 0
     try:
-        losses = np.array(list(filter(None, lines[start:])), dtype=np.float64)
-    except ValueError:
-        losses = None
-    if losses is None or losses.size == 0 or not np.all(np.isfinite(losses)):
-        losses = _parse_lines(path, lines, start)
-    return load_empirical(losses)
+        return load_empirical(np.array(list(filter(None, lines[start:])), dtype=np.float64))
+    except ValueError:  # DataError among them
+        pass
+    return load_empirical(_parse_lines(path, lines, start))
 
 
 def _parse_lines(path, lines: list, start: int) -> list:
@@ -436,8 +430,7 @@ def quantile(source: QuantileSource, p):
     else:
         if not (arr.min(initial=0.5) > 0.0 and arr.max(initial=0.5) < 1.0):
             raise ValueError("probability must lie strictly inside (0, 1)")
-        out = _blockwise(arr, 0.0, 1.0, lambda block, lo, hi, out: _interpolate(source, block, out),
-                         np.empty(arr.shape))
+        out = _blockwise(arr, lambda block, out: _interpolate(source, block, out), np.empty(arr.shape))
     return float(out) if arr.ndim == 0 else out
 
 
@@ -465,34 +458,32 @@ def _quantile_pair(source: QuantileSource, p, p_mirror, q, q_mirror):
         _interpolate(source, p_mirror, q_mirror)
 
 
-def _upper_block(log_t, lo, hi, out):
-    """The upper standard normal quantile z(1 - t) for a block of log t
-    within [lo, hi], into out."""
+def _upper_block(log_t, out):
+    """The upper standard normal quantile z(1 - t) for a block of log t,
+    into out."""
+    q = _SCRATCH.floats[0, :log_t.size]
+    np.subtract(0.5, np.exp(log_t, out=q), out=q)
+    q_lo, q_hi = q.min(), q.max()
 
     def tail_log(log_t, row):
         # -log t, or -log(1 - t) = -log(-expm1(log t)) where t > 1/2
-        if hi <= -math.log(2.0):
+        if q_lo >= 0.0:
             return np.negative(log_t, out=row)
         np.log(np.negative(np.expm1(log_t, out=row), out=row), out=row)
         return np.negative(np.minimum(row, log_t, out=row), out=row)
 
-    q = _SCRATCH.floats[0, :log_t.size]
-    np.subtract(0.5, np.exp(log_t, out=q), out=q)
-    _standard_quantile(log_t, q, q.min(), q.max(), tail_log, out)
+    _standard_quantile(log_t, q, q_lo, q_hi, tail_log, out)
 
 
 def _upper_quantile(log_t):
     """Standard normal quantile at p = 1 - t for an array of upper-tail
-    probabilities given by their logs, so that tails too small to hold in a
-    double stay accurate: AS241's at the lower-tail probability t, negated.
-    Its tail branches take r = sqrt(-log t) straight from log t, and beyond
-    log t = -729, past their fitted range, the asymptotic inversion of
-    _mills_tail; log t = -inf gives z = +inf, without a warning."""
-    # t rounds to 1 at the bottom of the weight mass, where the quantile would
-    # be -inf; held below 1, it stays finite
-    log_t = np.minimum(log_t, -(2.0**-53))
-    return _blockwise(log_t, log_t.min(initial=math.inf), log_t.max(initial=-math.inf), _upper_block,
-                      np.empty(log_t.shape))
+    probabilities t < 1 given by their logs, so that tails too small to
+    hold in a double stay accurate: AS241's at the lower-tail probability
+    t, negated.  Its tail branches take r = sqrt(-log t) straight from
+    log t, and beyond log t = -729, past their fitted range, the asymptotic
+    inversion of _mills_tail; log t = -inf gives z = +inf, without a
+    warning."""
+    return _blockwise(log_t, _upper_block, np.empty(log_t.shape))
 
 
 def _standard_form(source: QuantileSource):

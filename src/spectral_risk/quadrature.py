@@ -16,11 +16,11 @@ weight mass, so its only error is float rounding, which it bounds.  A
 normal source is integrated in weight-mass space, where the weight
 leaves the integrand and every family's p = 1 singularity becomes a mild
 logarithmic one that a tanh-sinh rule absorbs; its error is the measured
-difference between successive levels.  A Monte Carlo estimator that
-draws the weight mass uniformly through the same map gives an
-independent cross-check, biased low where the weight holds mass beyond
-p = 1 - 1e-16.  It draws one seeded stream in pieces of the replication
-chunk size and adds the pieces' sums in draw order.
+difference between successive levels.  Monte Carlo draws the weight
+mass uniformly through the same map, integrates the standard law by the
+same _upper_quantile and rescales: a cross-check, biased low where the
+weight holds mass beyond t = 2**-53.  It draws one seeded stream in
+pieces of the replication chunk size and adds their sums in draw order.
 """
 
 from __future__ import annotations
@@ -76,6 +76,7 @@ _ROUNDING = 8.0 * _EPS
 # the tanh-sinh nodes run over s in [-_TS_SPAN, _TS_SPAN]; at the ends they
 # lie within 1e-37 of 0 and round to 1
 _TS_SPAN = 4.0
+_LOG_T_FLOOR = math.log(2.0**-53)  # Monte Carlo's floor on log t, whose bias bench pins
 
 
 def _rel_tol(rel_tol):
@@ -146,6 +147,8 @@ class QuadratureResult:
 
 @dataclass(frozen=True)
 class MonteCarloResult:
+    """A Monte Carlo estimate; value and stderr are in the source's units."""
+
     value: float
     stderr: float
     n_draws: int
@@ -385,9 +388,11 @@ def srm_monte_carlo(
 ) -> MonteCarloResult:
     """Monte Carlo spectral risk measure: draw the remaining weight mass w
     uniformly and average the quantiles at p = 1 - t(w), which samples p
-    from the weight density.  p is clipped to [1e-16, 1 - 1e-16], which
-    biases power weights low by their mass beyond the clip, 2**(-53 c):
-    about -12 standard errors at c = 0.1 and a million draws.
+    from the weight density.  normal(mean, sd) is mean + sd times the
+    standard normal, drawn at log t by distributions._upper_quantile as in
+    srm_converged.  t is floored at 2**-53, so p = 1 - t at 1 - 2**-53,
+    which biases power weights low by their mass below it, 2**(-53 c):
+    -12.7 standard errors at c = 0.1 and a million draws (ROADMAP item 1).
 
     The draws come from one generator, default_rng([seed]), so a result is
     reproducible for a given (seed, n_draws), and any seed but a
@@ -400,15 +405,15 @@ def srm_monte_carlo(
     if not _is_integer(n_draws) or n_draws < 2:
         raise ValueError(f"n_draws must be an integer of at least 2, not {n_draws!r}")
     n_draws, seed = int(n_draws), _seed(seed)
-
-    def loss(u):
-        p = -np.expm1(_log_tail_probability(spec, u))
-        return quantile(source, np.clip(p, 1e-16, 1.0 - 1e-16))
+    loc, scale, source = _standard_form(source)
+    loss = (_upper_quantile if _linear_knots(source) is None
+            else lambda log_t: quantile(source, -np.expm1(log_t)))
 
     rng = np.random.default_rng([seed])
     total = total_sq = 0.0
     for start in range(0, n_draws, _BLOCK):
-        x = loss(rng.random(min(_BLOCK, n_draws - start)))
+        log_t = _log_tail_probability(spec, rng.random(min(_BLOCK, n_draws - start)))
+        x = loss(np.maximum(log_t, _LOG_T_FLOOR, out=log_t))
         with np.errstate(over="ignore", invalid="ignore"):  # an overflowing sum is raised below
             total += float(x.sum())
             total_sq += float((x * x).sum())
@@ -421,7 +426,7 @@ def srm_monte_carlo(
         raise NumericalError(
             f"the sum of the squares of {n_draws:,} Monte Carlo draws overflows a double"
         )
-    return MonteCarloResult(value=mean, stderr=stderr, n_draws=n_draws, seed=seed)
+    return MonteCarloResult(value=loc + scale * mean, stderr=scale * stderr, n_draws=n_draws, seed=seed)
 
 
 def convergence_study(

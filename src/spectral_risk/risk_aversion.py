@@ -269,7 +269,9 @@ def _log_tail_probability(spec: WeightSpec, w):
     The exponential's t = -log1p(w e) / a, with e = expm1(-a), is taken as
     log(w log1p(w e) / (w e)) + log(-e / a): no two terms cancel, as
     log(-log1p(w e)) and log a do for a small a, and where w e underflows
-    to 0 the ratio is its limit, 1, so t keeps its value."""
+    to 0 the ratio is its limit, 1, so t keeps its value.  Its rounding can
+    carry t to 1 near w = 1, so its log t is held at or below -2**-53, where
+    every other family's lies, and p = 1 - t stays above 0."""
     w = np.asarray(w, dtype=float)
     fam = spec.family
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -277,7 +279,8 @@ def _log_tail_probability(spec: WeightSpec, w):
             e = math.expm1(-spec.a)
             we = w * e
             # log1p(x) / x >= 1 for x in (-1, 0]; fmax turns the 0 / 0 at we = 0 into 1
-            return np.log(w * np.fmax(np.log1p(we) / we, 1.0)) + math.log(-e / spec.a)
+            log_t = np.log(w * np.fmax(np.log1p(we) / we, 1.0)) + math.log(-e / spec.a)
+            return np.minimum(log_t, -(2.0**-53))
         log_w = np.log(w)
         if fam == "power":
             # overflows to -inf for a tiny c; the engines name the node it reaches

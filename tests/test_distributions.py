@@ -23,6 +23,7 @@ from spectral_risk import (
     standard_normal,
     uniform,
 )
+from spectral_risk.distributions import _BLOCK
 
 PROBES = [
     1e-300, 1e-100, 1e-20, 1e-12, 1e-9, 1e-6, 1e-4, 0.01, 0.1, 0.3, 0.5,
@@ -86,9 +87,19 @@ def test_inverse_normal_cdf_monotone(p1, p2):
     assert z_lo <= z_hi + 8.0 * np.spacing(max(abs(z_lo), abs(z_hi)))
 
 
+def _last_block_holds(bad):
+    """3 * _BLOCK + 5 probabilities inside (0, 1) but for bad, in the last
+    block, which is checked after three good ones."""
+    p = np.full(3 * _BLOCK + 5, 0.3)
+    p[-2] = bad
+    return p
+
+
 # arrays with one probability outside (0, 1): a nan first, in the middle or
 # last, an endpoint, an infinity or a value beyond the interval
 BAD_PROBABILITY_ARRAYS = [
+    pytest.param(_last_block_holds(math.nan), id="nan-last-block"),
+    pytest.param(_last_block_holds(1.0), id="one-last-block"),
     pytest.param([math.nan, 0.3, 0.4], id="nan-first"),
     pytest.param([0.3, math.nan, 0.4], id="nan-middle"),
     pytest.param([0.3, 0.4, math.nan], id="nan-last"),

@@ -36,7 +36,7 @@ from spectral_risk import (
     weight_mass,
 )
 from spectral_risk import distributions, quadrature
-from spectral_risk.distributions import _BLOCK, _quantile_pair, _upper_quantile
+from spectral_risk.distributions import _BLOCK, _quantile_pair, _standard_form, _upper_quantile
 from spectral_risk.quadrature import _endpoint_integrand, _tanh_sinh
 from spectral_risk.risk_aversion import _log_tail_probability
 
@@ -736,22 +736,32 @@ def test_monte_carlo_seeded_value_is_pinned_across_two_chunks():
     # 2**20 + 3 draws: 128 whole pieces and one of 3 draws
     mc = srm_monte_carlo(standard_normal(), WeightSpec.exponential(a=5.0),
                          n_draws=(1 << 20) + 3, seed=11)
-    assert mc.value == 1.0809201554409118
-    assert mc.stderr == 0.0007531071120810795
+    assert mc.value == 1.080920155440912
+    assert mc.stderr == 0.0007531071120810793
 
 
 def _one_array_reference(source, spec, n_draws, seed):
-    def loss(u):
-        p = -np.expm1(_log_tail_probability(spec, u))
-        return quantile(source, np.clip(p, 1e-16, 1.0 - 1e-16))
+    """srm_monte_carlo's value and stderr from one array: the standard form
+    of source, with log t floored at t = 2**-53, drawn, mapped and summed by
+    monte_carlo_one_array, then rescaled; the standard draws' sums and the
+    (loc, scale) of the rescaling follow, for _assert_within_rounding."""
+    loc, scale, standard = _standard_form(source)
 
-    return monte_carlo_one_array(loss, n_draws, seed)
+    def loss(u):
+        log_t = np.maximum(_log_tail_probability(spec, u), math.log(2.0**-53))
+        if standard.kind == "normal":
+            return _upper_quantile(log_t)
+        return quantile(standard, -np.expm1(log_t))
+
+    mean, stderr, abs_sum, sq_sum = monte_carlo_one_array(loss, n_draws, seed)
+    return loc + scale * mean, scale * stderr, (loc, scale, mean, stderr, abs_sum, sq_sum)
 
 
 def _assert_within_rounding(mc, reference, n):
     """mc's value and stderr lie within what rounding alone can move them
     from the one-array reference's, a bound derived from the number of
-    pieces and the sums of |x| and x**2 over the n losses x.
+    pieces and the sums of |x| and x**2 over the n standard draws x, and
+    from the final rescaling.
 
     Both sum the same n terms.  np.sum adds a block of at most 128 terms in
     eight interleaved partial sums of up to 16 terms, joined by three
@@ -768,9 +778,13 @@ def _assert_within_rounding(mc, reference, n):
     a difference on each side, each within u S2, since n m m <= S2.  The
     stderr sqrt(N / (n (n - 1))) moves by at most dN / (n (n - 1)) over
     the stderr, plus u for each of the two divisions and the root on each
-    side, five in all with the first-order slack.
+    side, five in all with the first-order slack.  Each side then takes
+    loc + scale m and scale times the stderr: scale multiplies both
+    distances, and each product and the sum round within u of their
+    results, to first order, except that a product by 1 and a sum with 0
+    are exact.
     """
-    mean, stderr, abs_sum, sq_sum = reference
+    value, scaled_stderr, (loc, scale, mean, stderr, abs_sum, sq_sum) = reference
     pieces = -(-n // _BLOCK)
     u = 2.0**-53
 
@@ -781,17 +795,20 @@ def _assert_within_rounding(mc, reference, n):
     d_mean = gamma(k + 2) * abs_sum / n
     d_num = gamma(k + 6) * sq_sum + n * d_mean * (2.0 * abs(mean) + d_mean)
     d_stderr = d_num / (n * (n - 1) * stderr) + 5.0 * u * stderr
-    assert abs(mc.value - mean) <= d_mean, (n, mc.value, mean, d_mean)
-    assert abs(mc.stderr - stderr) <= d_stderr, (n, mc.stderr, stderr, d_stderr)
+    rescaled, summed = scale != 1.0, loc != 0.0
+    d_value = scale * d_mean + 2.0 * u * (rescaled * abs(scale * mean) + summed * abs(value))
+    d_scaled = scale * d_stderr + 2.0 * u * rescaled * scaled_stderr
+    assert abs(mc.value - value) <= d_value, (n, mc.value, value, d_value)
+    assert abs(mc.stderr - scaled_stderr) <= d_scaled, (n, mc.stderr, scaled_stderr, d_scaled)
 
 
 def test_monte_carlo_seeded_value_is_pinned_at_a_million_draws():
     source, spec, n = standard_normal(), WeightSpec.exponential(a=5.0), 1_000_000
     mc = srm_monte_carlo(source, spec, n_draws=n, seed=11)
-    assert (mc.value, mc.stderr) == (1.0806853427113705, 0.0007713374313996146)
+    assert (mc.value, mc.stderr) == (1.0806853427113707, 0.0007713374313996144)
     # one np.sum over all the draws lies within the rounding bound of the pin
     reference = _one_array_reference(source, spec, n, 11)
-    assert reference[:2] == (1.080685342711371, 0.0007713374313996139)
+    assert reference[:2] == (1.080685342711371, 0.0007713374313996143)
     _assert_within_rounding(mc, reference, n)
 
 
@@ -822,6 +839,56 @@ def test_monte_carlo_continues_one_stream_past_2_20_draws():
     n = (1 << 20) + 3
     mc = srm_monte_carlo(source, spec, n_draws=n, seed=2)
     _assert_within_rounding(mc, _one_array_reference(source, spec, n, 2), n)
+
+
+@pytest.mark.parametrize("spec", [WeightSpec.exponential(a=5.0), WeightSpec.power(0.1)],
+                         ids=["exponential", "power"])
+@pytest.mark.parametrize("mean,sd", [(0.3, 1.2), (-50.0, 1e-3), (1e8, 1.0)])
+def test_monte_carlo_normal_is_the_rescaled_standard_normal(mean, sd, spec):
+    # the draws are of the standard normal, so a large mean cannot cancel the
+    # sum of squares: mapped to 1e8 + z, 20,000 draws reported stderr 0.0
+    std = srm_monte_carlo(standard_normal(), spec, n_draws=20_000, seed=0)
+    mc = srm_monte_carlo(normal(mean, sd), spec, n_draws=20_000, seed=0)
+    assert (mc.value, mc.stderr) == (mean + sd * std.value, sd * std.stderr)
+
+
+def test_monte_carlo_on_a_normal_source_draws_the_log_tail_quantile(monkeypatch):
+    # a normal source's draws go straight from log t to the converged
+    # engine's upper quantile, never through p = 1 - t; a sample source's
+    # go to quantile, one call per piece
+    calls = {"quantile": 0, "inverse_normal_cdf": 0, "_upper_quantile": 0}
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(quadrature, "quantile")
+    counted(quadrature, "_upper_quantile")
+    counted(distributions, "inverse_normal_cdf")
+    n = 2 * _BLOCK + 1
+    srm_monte_carlo(normal(0.3, 1.2), WeightSpec.power(0.1), n_draws=n, seed=1)
+    assert calls == {"quantile": 0, "inverse_normal_cdf": 0, "_upper_quantile": 3}
+    srm_monte_carlo(load_empirical([1.0, 2.0, 4.0]), WeightSpec.power(0.1), n_draws=n, seed=1)
+    assert calls == {"quantile": 3, "inverse_normal_cdf": 0, "_upper_quantile": 3}
+
+
+def test_monte_carlo_floor_is_the_clip_point_that_bench_pins():
+    # bench/oracle.py's clip bias takes every draw beyond t = 2**-53 at
+    # p = 1 - 1e-16, which rounds to 1 - 2**-53: the floor on log t gives
+    # that p, and the upper quantile there is the inverse normal's to the bit
+    floor = quadrature._LOG_T_FLOOR
+    assert -math.expm1(floor) == 1.0 - 1e-16 == 1.0 - 2.0**-53
+    z_clip = quantile(standard_normal(), 1.0 - 1e-16)
+    assert _upper_quantile(np.array([floor]))[0] == z_clip
+    # every draw of a tiny power c lies beyond the floor
+    for source, want in ((standard_normal(), z_clip), (uniform(0.0, 1.0), 1.0 - 2.0**-53)):
+        mc = srm_monte_carlo(source, WeightSpec.power(1e-300), n_draws=2, seed=0)
+        assert (mc.value, mc.stderr) == (want, 0.0)
 
 
 @pytest.mark.parametrize("seed,error", [

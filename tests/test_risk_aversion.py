@@ -184,6 +184,18 @@ def test_exponential_tail_map_keeps_its_digits_for_a_small_a(a):
     assert np.all(np.abs(got - want) <= 2.0 * np.spacing(np.abs(want)) + 4e-16)
 
 
+def test_tail_map_holds_t_below_one_at_the_bottom_of_the_weight_mass():
+    # unheld, the exponential's log t rounds to +4e-17 at this a and the two
+    # largest w below 1, where p = 1 - t would be negative; rng.random()
+    # draws the first of them
+    w = np.array([1.0 - 2.0**-53, 1.0 - 2.0**-52])
+    for spec in (WeightSpec.exponential(a=0.031770915925610516), WeightSpec.flat(),
+                 WeightSpec.power(1.0 - 1e-9), WeightSpec.es(1e-300)):
+        log_t = _log_tail_probability(spec, w)
+        assert np.all(log_t <= -(2.0**-53)), spec
+        assert np.all(-np.expm1(log_t) > 0.0), spec
+
+
 @given(st.floats(min_value=0.01, max_value=150.0),
        st.floats(min_value=0.0, max_value=1.0),
        st.floats(min_value=0.0, max_value=1.0))
