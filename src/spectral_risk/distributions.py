@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError
+from .risk_aversion import _real
 
 __all__ = [
     "QuantileSource",
@@ -313,15 +314,15 @@ def standard_normal() -> QuantileSource:
 
 
 def normal(mean: float, sd: float) -> QuantileSource:
-    return QuantileSource(kind="normal", mean=float(mean), sd=float(sd))
+    return QuantileSource(kind="normal", mean=float(_real("mean", mean)), sd=float(_real("sd", sd)))
 
 
 def constant(value: float) -> QuantileSource:
-    return _empirical(np.array([float(value)]))
+    return _empirical(np.array([float(_real("value", value))]))
 
 
 def uniform(lo: float, hi: float) -> QuantileSource:
-    if not lo < hi:
+    if not _real("lo", lo) < _real("hi", hi):
         raise ValueError("uniform support needs lo < hi")
     return _empirical(np.array([float(lo), float(hi)]))
 
@@ -487,14 +488,9 @@ def _upper_quantile(log_t):
 
 
 def _standard_form(source: QuantileSource):
-    """(loc, scale, standard) with source's quantile loc + scale times
-    standard's: normal(mean, sd) gives (mean, sd, standard_normal())."""
+    """(loc, scale, knots): normal(mean, sd), whose quantile is mean + sd
+    times the standard normal's, gives (mean, sd, None), and a
+    piecewise-linear source (0, 1, x), the x_k it interpolates at k / (n - 1)."""
     if source.kind == "normal":
-        return source.mean, source.sd, standard_normal()
-    return 0.0, 1.0, source
-
-
-def _linear_knots(source: QuantileSource):
-    """The values x_k that a piecewise-linear source interpolates at
-    p_k = k / (n - 1), or None for a source with a smooth quantile."""
-    return None if source.kind == "normal" else source.samples
+        return source.mean, source.sd, None
+    return 0.0, 1.0, source.samples

@@ -12,7 +12,7 @@ import numpy as np
 
 from .distributions import QuantileSource, quantile
 from .quadrature import QuadratureConfig, srm_converged, srm_replication
-from .risk_aversion import WeightSpec
+from .risk_aversion import WeightSpec, _real
 
 __all__ = ["var", "es", "srm", "exponential_srm", "power_srm", "lpm"]
 
@@ -22,7 +22,7 @@ _ES_CONFIG = QuadratureConfig(scheme="converged", rel_tol=1e-9)
 
 def var(source: QuantileSource, alpha: float) -> float:
     """Value at risk: the loss quantile at confidence alpha."""
-    if not 0.0 < alpha < 1.0:
+    if not 0.0 < _real("alpha", alpha) < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
     return quantile(source, alpha)
 
@@ -33,8 +33,7 @@ def srm(source: QuantileSource, spec: WeightSpec, config: QuadratureConfig | Non
     Defaults to the replication scheme on its standard grid; pass a config
     with scheme converged for a value certified to its rel_tol.
     """
-    if config is None:
-        config = QuadratureConfig()
+    config = config or QuadratureConfig()
     if config.scheme == "converged":
         return srm_converged(source, spec, rel_tol=config.rel_tol).value
     return srm_replication(source, spec, config).value

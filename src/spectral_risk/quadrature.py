@@ -35,7 +35,6 @@ from .distributions import (
     _SCRATCH,
     QuantileSource,
     _limit_quantile,
-    _linear_knots,
     _quantile_pair,
     _standard_form,
     _upper_quantile,
@@ -76,6 +75,7 @@ _ROUNDING = 8.0 * _EPS
 # the tanh-sinh nodes run over s in [-_TS_SPAN, _TS_SPAN]; at the ends they
 # lie within 1e-37 of 0 and round to 1
 _TS_SPAN = 4.0
+_TS_DEPTH = 8  # the tanh-sinh rule's finest level
 _LOG_T_FLOOR = math.log(2.0**-53)  # Monte Carlo's floor on log t, whose bias bench pins
 
 
@@ -135,7 +135,7 @@ class QuadratureResult:
     the closed form on a piecewise-linear source (n_points knots) or is
     sd times the difference between the last two tanh-sinh levels on the
     standard normal, which overstates the error of the finer level, plus
-    the rounding of mean + sd times it (n_points quantile evaluations).
+    the rounding of mean + sd times it (n_points nodes in the levels summed).
     """
 
     value: float
@@ -187,8 +187,7 @@ def srm_replication(
     value that is not finite raises NumericalError naming its node, as do
     finite values whose sum overflows.
     """
-    if config is None:
-        config = QuadratureConfig()
+    config = config or QuadratureConfig()
     if config.scheme != "replication":
         raise ValueError("config.scheme must be 'replication'")
     n = config.n_points
@@ -253,39 +252,58 @@ def srm_replication(
     )
 
 
-def _tanh_sinh(f, rel_tol: float, loc=0.0, scale=1.0, max_levels: int = 8) -> tuple[float, float, int]:
-    """Integrate f over (0, 1) by the tanh-sinh rule (Takahasi & Mori 1974).
+def _tanh_sinh_table():
+    """_tanh_sinh's nodes and weights, read-only, level after level, and
+    the index at which each level's nodes end."""
+    levels = [np.arange(-_TS_SPAN, _TS_SPAN + 1.0)] + [
+        h * np.arange(1.0 - _TS_SPAN / h, _TS_SPAN / h, 2.0) for h in 0.5 ** np.arange(1.0, _TS_DEPTH + 1)
+    ]
+    s = np.concatenate(levels)
+    u = np.pi * np.sinh(s)
+    x = 1.0 / (1.0 + np.exp(-u))
+    keep = x < 1.0
+    w = np.pi * np.cosh(s) / (4.0 * np.cosh(0.5 * u) ** 2)
+    ends = np.cumsum(keep)[np.cumsum([level.size for level in levels]) - 1]
+    x, w = x[keep], w[keep]
+    x.flags.writeable = w.flags.writeable = False
+    return x, w, tuple(ends.tolist())
 
-    The node x = 1 / (1 + exp(-pi sinh s)) crowds the nodes double
-    exponentially toward both ends, which absorbs integrable endpoint
-    singularities of logarithmic type.  Each level halves the step in s
-    and evaluates only the new nodes, in one call of f on an array.  The
-    rule stops once two successive levels differ by at most rel_tol times
-    the integral of |f|.  It returns, and a ConvergenceError carries, loc +
-    scale times the integral and scale times that difference plus the
-    rounding of the shift; the return also counts the evaluations.
+
+# levels 0 .. _TS_DEPTH, built once: 8, 7, 14, 29, 57, 114, 229, 458 and 916 nodes
+_TS_NODES, _TS_WEIGHTS, _TS_ENDS = _tanh_sinh_table()
+
+
+def _tanh_sinh(y, rel_tol: float, loc=0.0, scale=1.0) -> tuple[float, float, int]:
+    """Integrate over (0, 1) by the tanh-sinh rule (Takahasi & Mori 1974),
+    given y, the integrand's values at the first nodes of _TS_NODES.
+
+    The node x = 1 / (1 + exp(-pi sinh s)), of weight dx/ds, crowds the
+    nodes double exponentially toward both ends, which absorbs integrable
+    endpoint singularities of logarithmic type.  Level 0 steps s by 1 over
+    [-_TS_SPAN, _TS_SPAN], and each later level halves the step in s and
+    adds the nodes midway between the earlier ones.  The rule sums the
+    whole levels that y covers and stops once two successive levels differ
+    by at most rel_tol times the integral of |y|.  It returns, and a
+    ConvergenceError carries, loc + scale times the integral and scale
+    times that difference plus the rounding of the shift; the return also
+    counts the nodes of the levels summed.  A value that is not finite
+    raises NumericalError naming its node once the rule reaches its level.
     Nodes that round to 1 are dropped: for an integrand in weight-mass
     space they hold less than 2**-53 of the mass, which the rounding floor
     of the difference covers.
     """
+    finite = np.isfinite(y)
+    first_bad = y.size if finite.all() else int(np.argmin(finite))
     h = 1.0
-    s = np.arange(-_TS_SPAN, _TS_SPAN + 1.0)
     value = abs_value = 0.0
-    evals = 0
-    for level in range(max_levels + 1):
-        u = np.pi * np.sinh(s)
-        x = 1.0 / (1.0 + np.exp(-u))
-        keep = x < 1.0
-        x = x[keep]
-        w = np.pi * np.cosh(s[keep]) / (4.0 * np.cosh(0.5 * u[keep]) ** 2)
-        y = f(x)
-        evals += x.size
-        bad = ~np.isfinite(y)
-        if np.any(bad):
-            raise _not_finite(x[bad][0])
+    start = 0
+    for level, end in enumerate(end for end in _TS_ENDS if end <= y.size):
+        if end > first_bad:
+            raise _not_finite(_TS_NODES[first_bad])
+        w = _TS_WEIGHTS[start:end]
         prev = value
-        value = 0.5 * value + h * float(w @ y)
-        abs_value = 0.5 * abs_value + h * float(w @ np.abs(y))
+        value = 0.5 * value + h * float(w @ y[start:end])
+        abs_value = 0.5 * abs_value + h * float(w @ np.abs(y[start:end]))
         if level:
             err = max(abs(value - prev), _ROUNDING * abs_value)
             # the first two levels are too coarse to agree by anything but luck
@@ -293,14 +311,14 @@ def _tanh_sinh(f, rel_tol: float, loc=0.0, scale=1.0, max_levels: int = 8) -> tu
             if done:
                 break
         h *= 0.5
-        s = h * np.arange(1.0 - _TS_SPAN / h, _TS_SPAN / h, 2.0)
+        start = end
     value, err = loc + scale * value, scale * err + _EPS * (abs(loc) + abs(scale * value))
     if not math.isfinite(value):
         raise NumericalError(f"spectral risk measure overflows: {value!r}")
     if done:
-        return value, err, evals
+        return value, err, end
     raise ConvergenceError(
-        f"tanh-sinh rule did not converge after {max_levels} levels "
+        f"tanh-sinh rule did not converge after {level} levels "
         f"(best estimate {value!r}, estimated remaining error {err!r})",
         best_estimate=value,
         error_bound=err,
@@ -308,7 +326,7 @@ def _tanh_sinh(f, rel_tol: float, loc=0.0, scale=1.0, max_levels: int = 8) -> tu
 
 
 def _closed_form(x: np.ndarray, steps: np.ndarray, spec: WeightSpec,
-                 rel_tol: float) -> tuple[float, float]:
+                 rel_tol: float) -> tuple[float, float, int]:
     """Spectral risk measure of the piecewise-linear quantile through
     (k / (n - 1), x_k), whose rises x_{k+1} - x_k are steps, exactly up to
     float rounding.
@@ -316,8 +334,9 @@ def _closed_form(x: np.ndarray, steps: np.ndarray, spec: WeightSpec,
     Integrating by parts against the weight mass M gives
     x_max - sum_k s_k [G(p_{k+1}) - G(p_k)], where s_k is the slope of
     segment k and G the integral of M: each term is the rise of segment k
-    times the mean of M over it.  Returns the value and a bound on its
-    rounding error, which must lie within rel_tol times the largest |x_k|.
+    times the mean of M over it.  Returns the value, a bound on its
+    rounding error, which must lie within rel_tol times the largest |x_k|,
+    and n.
     Each mean is good to a few ulps of 1, the terms are non-negative
     because the x_k are sorted, and np.sum's pairwise tree loses at most a
     few ulps of the total per level; the last term of the bound covers sums
@@ -342,7 +361,7 @@ def _closed_form(x: np.ndarray, steps: np.ndarray, spec: WeightSpec,
             best_estimate=value,
             error_bound=err,
         )
-    return value, err
+    return value, err, n
 
 
 def srm_converged(
@@ -357,7 +376,8 @@ def srm_converged(
     integrates to one, so normal(mean, sd) gives mean + sd times the
     measure of the standard normal, which is integrated over the remaining
     weight mass w, as the quantile at the upper-tail probability t(w) that
-    holds it, by a tanh-sinh rule: n_points counts quantile evaluations,
+    holds it, by a tanh-sinh rule, in one call of the quantile layer on all
+    1,832 nodes of its table: n_points counts those of the levels summed,
     and estimated_error is sd times the difference between the last two
     levels, which must lie within rel_tol times sd times the integral of
     |z|, plus the rounding of mean + sd times the value.  Raises
@@ -365,22 +385,14 @@ def srm_converged(
     source's units, when rel_tol is below what either can certify.
     """
     rel_tol = _rel_tol(rel_tol)
-    loc, scale, source = _standard_form(source)
-    x = _linear_knots(source)
-    if x is None:
-        value, err, evals = _tanh_sinh(
-            lambda w: _upper_quantile(_log_tail_probability(spec, w)), rel_tol, loc, scale
-        )
+    loc, scale, knots = _standard_form(source)
+    if knots is None:
+        y = _upper_quantile(_log_tail_probability(spec, _TS_NODES))
+        value, err, evals = _tanh_sinh(y, rel_tol, loc, scale)
     else:
-        value, err = _closed_form(x, source.steps, spec, rel_tol)
-        evals = x.size
-    return QuadratureResult(
-        value=value,
-        n_points=evals,
-        scheme="converged",
-        endpoint_policy="open_interval",
-        estimated_error=err,
-    )
+        value, err, evals = _closed_form(knots, source.steps, spec, rel_tol)
+    return QuadratureResult(value=value, n_points=evals, scheme="converged",
+                            endpoint_policy="open_interval", estimated_error=err)
 
 
 def srm_monte_carlo(
@@ -405,8 +417,8 @@ def srm_monte_carlo(
     if not _is_integer(n_draws) or n_draws < 2:
         raise ValueError(f"n_draws must be an integer of at least 2, not {n_draws!r}")
     n_draws, seed = int(n_draws), _seed(seed)
-    loc, scale, source = _standard_form(source)
-    loss = (_upper_quantile if _linear_knots(source) is None
+    loc, scale, knots = _standard_form(source)
+    loss = (_upper_quantile if knots is None
             else lambda log_t: quantile(source, -np.expm1(log_t)))
 
     rng = np.random.default_rng([seed])

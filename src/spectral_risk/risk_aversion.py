@@ -113,18 +113,18 @@ class WeightSpec:
         if (a is None) == (gamma is None):
             raise ValueError("give exactly one of a or gamma")
         if gamma is not None:
-            if not gamma > 0.0:
+            if not _real("gamma", gamma) > 0.0:
                 raise ValueError("gamma must be positive")
             a = 1.0 / gamma
-        return cls(family="exponential", a=float(a))
+        return cls(family="exponential", a=float(_real("a", a)))
 
     @classmethod
     def power(cls, c: float) -> "WeightSpec":
-        return cls(family="power", c=float(c))
+        return cls(family="power", c=float(_real("c", c)))
 
     @classmethod
     def es(cls, alpha: float) -> "WeightSpec":
-        return cls(family="es", alpha=float(alpha))
+        return cls(family="es", alpha=float(_real("alpha", alpha)))
 
     @classmethod
     def flat(cls) -> "WeightSpec":
@@ -217,9 +217,7 @@ def weight_mass(spec: WeightSpec, p):
         out = np.clip((arr - spec.alpha) / (1.0 - spec.alpha), 0.0, 1.0)
     else:
         out = arr.copy()
-    if arr.ndim == 0:
-        return float(out)
-    return out
+    return float(out) if arr.ndim == 0 else out
 
 
 def _mass_integral(spec: WeightSpec, t, d):

@@ -14,6 +14,7 @@ from hypothesis import example, given, strategies as st
 from reference import bisect_normal_quantile, interp_quantile
 from spectral_risk import (
     DataError,
+    QuantileSource,
     constant,
     inverse_normal_cdf,
     load_empirical,
@@ -245,6 +246,14 @@ def test_uniform_and_constant_are_piecewise_linear_sources():
     lo, hi = -1.5, 2.25
     assert np.array_equal(quantile(uniform(lo, hi), ps), lo + ps * (hi - lo))
     assert np.array_equal(quantile(constant(4.2), ps), np.full(ps.shape, 4.2))
+
+
+def test_quantile_source_refuses_an_unknown_kind_and_an_empty_sample():
+    with pytest.raises(ValueError, match="unknown source kind 'lognormal'"):
+        QuantileSource(kind="lognormal")
+    for samples in (None, np.array([])):
+        with pytest.raises(ValueError, match="needs at least one sample"):
+            QuantileSource(kind="empirical", samples=samples)
 
 
 def test_normal_source_rejects_bad_sd():

@@ -37,7 +37,7 @@ from spectral_risk import (
 )
 from spectral_risk import distributions, quadrature
 from spectral_risk.distributions import _BLOCK, _quantile_pair, _standard_form, _upper_quantile
-from spectral_risk.quadrature import _endpoint_integrand, _tanh_sinh
+from spectral_risk.quadrature import _TS_ENDS, _TS_NODES, _TS_WEIGHTS, _endpoint_integrand, _tanh_sinh
 from spectral_risk.risk_aversion import _log_tail_probability
 
 # high-precision values computed independently for these source and weight
@@ -162,6 +162,16 @@ def test_replication_recovers_a_constant_loss_with_a_steep_weight():
     assert result.scheme == "replication"
     assert result.endpoint_policy == "zero_endpoints"
     assert result.estimated_error is None
+
+
+def test_replication_defaults_to_the_standard_config():
+    # es 0.95 weighs the top 5% of the 10,000,001-node grid alone, so the
+    # pass stops early; the weight's jump costs Simpson one step's accuracy
+    spec = WeightSpec.es(0.95)
+    result = srm_replication(constant(2.5), spec)
+    assert result == srm_replication(constant(2.5), spec, QuadratureConfig())
+    assert result.n_points == 10_000_001
+    assert result.value == pytest.approx(2.5, abs=1e-5)
 
 
 def test_replication_zero_and_clip_policies_agree_on_smooth_cases():
@@ -613,10 +623,12 @@ def test_converged_error_estimate_is_measured_not_the_target():
 
 
 def test_exhausted_refinement_budget_reports_its_best_estimate():
+    # the values at the nodes of levels 0 .. 2 alone: the rule runs out of
+    # levels before it meets rel_tol
     spec = WeightSpec.exponential(a=5.0)
-    f = lambda w: _upper_quantile(_log_tail_probability(spec, w))
-    with pytest.raises(ConvergenceError, match="did not converge") as exc_info:
-        _tanh_sinh(f, 1e-9, max_levels=2)
+    y = _upper_quantile(_log_tail_probability(spec, _TS_NODES[:_TS_ENDS[2]]))
+    with pytest.raises(ConvergenceError, match="did not converge after 2 levels") as exc_info:
+        _tanh_sinh(y, 1e-9)
     err = exc_info.value
     assert err.best_estimate == pytest.approx(NORMAL_EXPONENTIAL_REFS[5.0], abs=0.1)
     # the reported bound must be finite, positive, and honestly cover the
@@ -624,6 +636,27 @@ def test_exhausted_refinement_budget_reports_its_best_estimate():
     assert 0.0 < err.error_bound < math.inf
     assert abs(err.best_estimate - NORMAL_EXPONENTIAL_REFS[5.0]) <= err.error_bound
     assert isinstance(err, NumericalError)
+
+
+def test_converged_answer_takes_one_quantile_layer_call(monkeypatch):
+    # the rule's table is built once, at import: every node of every level
+    # goes through the quantile layer in one call, and the answer counts
+    # the nodes of the levels it summed
+    assert np.diff((0,) + _TS_ENDS).tolist() == [8, 7, 14, 29, 57, 114, 229, 458, 916]
+    for table in (_TS_NODES, _TS_WEIGHTS):
+        assert table.shape == (1832,) and not table.flags.writeable
+    assert np.all((_TS_NODES > 0.0) & (_TS_NODES < 1.0))
+    calls = []
+    original = quadrature._upper_quantile
+
+    def counted(log_t):
+        calls.append(log_t.size)
+        return original(log_t)
+
+    monkeypatch.setattr(quadrature, "_upper_quantile", counted)
+    result = srm_converged(normal(0.3, 1.2), WeightSpec.exponential(a=5.0), rel_tol=1e-6)
+    assert calls == [1832]
+    assert result.n_points in _TS_ENDS and result.n_points < 1832
 
 
 def test_weight_mass_inverse_round_trips():
@@ -745,13 +778,13 @@ def _one_array_reference(source, spec, n_draws, seed):
     of source, with log t floored at t = 2**-53, drawn, mapped and summed by
     monte_carlo_one_array, then rescaled; the standard draws' sums and the
     (loc, scale) of the rescaling follow, for _assert_within_rounding."""
-    loc, scale, standard = _standard_form(source)
+    loc, scale, knots = _standard_form(source)
 
     def loss(u):
         log_t = np.maximum(_log_tail_probability(spec, u), math.log(2.0**-53))
-        if standard.kind == "normal":
+        if knots is None:
             return _upper_quantile(log_t)
-        return quantile(standard, -np.expm1(log_t))
+        return quantile(source, -np.expm1(log_t))
 
     mean, stderr, abs_sum, sq_sum = monte_carlo_one_array(loss, n_draws, seed)
     return loc + scale * mean, scale * stderr, (loc, scale, mean, stderr, abs_sum, sq_sum)

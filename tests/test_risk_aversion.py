@@ -13,9 +13,15 @@ from spectral_risk import (
     WeightSpec,
     ara,
     check_admissibility,
+    constant,
+    es,
+    normal,
     rra,
+    standard_normal,
+    uniform,
     utility_exponential,
     utility_power,
+    var,
     weight,
     weight_mass,
 )
@@ -273,6 +279,42 @@ def test_weight_spec_with_numpy_scalar_parameters_serialises(family, name, value
     assert type(getattr(spec, name)) is kind
     assert spec.to_json() == text
     assert WeightSpec.from_json(text) == spec
+
+
+@pytest.mark.parametrize("build,name", [
+    (lambda: WeightSpec.power("0.5"), "c"),
+    (lambda: WeightSpec.exponential(a=True), "a"),
+    (lambda: WeightSpec.exponential(gamma="5"), "gamma"),
+    (lambda: WeightSpec.es("0.95"), "alpha"),
+    (lambda: es(standard_normal(), "0.95"), "alpha"),
+    (lambda: var(standard_normal(), "0.95"), "alpha"),
+    (lambda: normal("1", 1), "mean"),
+    (lambda: normal(True, 1), "mean"),
+    (lambda: normal(0, "1"), "sd"),
+    (lambda: constant("4.2"), "value"),
+    (lambda: uniform("0", "1"), "lo"),
+    (lambda: uniform(1, "2"), "hi"),
+], ids=["power-str", "exponential-bool", "gamma-str", "es-str", "es-measure-str",
+        "var-str", "normal-mean-str", "normal-mean-bool", "normal-sd-str",
+        "constant-str", "uniform-lo-str", "uniform-hi-str"])
+def test_factories_take_real_numbers_only(build, name):
+    # the rule of WeightSpec's own fields: a real number but a bool, named
+    # when refused
+    with pytest.raises(ValueError, match=f"^{name} must be a real number, not "):
+        build()
+
+
+def test_factories_store_numeric_parameters_as_floats():
+    assert WeightSpec.power(np.float32(0.5)).to_json() == '{"family": "power", "c": 0.5}'
+    assert WeightSpec.exponential(np.int64(5)).to_json() == '{"family": "exponential", "a": 5.0}'
+    assert WeightSpec.exponential(gamma=np.float32(3.0)).a == float(np.float32(1.0) / np.float32(3.0))
+    assert WeightSpec.es(np.float64(0.9)) == WeightSpec.es(0.9)
+    src = normal(np.int64(1), 2)
+    assert (src.mean, src.sd) == (1.0, 2.0) and type(src.mean) is float
+    assert uniform(0, np.float32(0.3)).samples.tolist() == [0.0, float(np.float32(0.3))]
+    # lo < hi is checked on the values stored, not in the float32 numpy would compare in
+    assert uniform(0.3, np.float32(0.3)).samples.tolist() == [0.3, float(np.float32(0.3))]
+    assert constant(np.int32(4)).samples.tolist() == [4.0]
 
 
 def test_ara_recovers_the_exponential_parameter():
