@@ -16,9 +16,10 @@ from pathlib import Path
 import numpy as np
 
 from .distributions import QuantileSource, load_empirical
+from .errors import _instance, _integer, _real, _seed
 from .measures import srm, var
-from .quadrature import QuadratureConfig, _seed
-from .risk_aversion import _PARAMETER, WeightSpec, _integer, weight
+from .quadrature import QuadratureConfig
+from .risk_aversion import _PARAMETER, WeightSpec, weight
 
 __all__ = [
     "SweepResult",
@@ -82,7 +83,7 @@ def sweep_srm(family: str, param_grid, source: QuantileSource,
     key = _PARAMETER.get(family)
     if key is None:
         raise ValueError(f"cannot sweep family {family!r}")
-    params = [float(x) for x in param_grid]
+    params = [float(_real("param_grid value", x)) for x in param_grid]
     if not params:
         raise ValueError("param_grid must not be empty")
     if any(not b > a for a, b in zip(params, params[1:])):
@@ -104,7 +105,7 @@ def weight_curve(spec: WeightSpec, n_points: int = 1001, p_max: float = 0.999) -
     """Sample the weight function on [0, p_max] for plotting or export."""
     if _integer("n_points", n_points) < 2:
         raise ValueError("n_points must be at least 2")
-    if not 0.0 < p_max < 1.0:
+    if not 0.0 < _real("p_max", p_max) < 1.0:
         raise ValueError("p_max must lie in (0, 1)")
     ps = np.linspace(0.0, p_max, n_points)
     ws = weight(spec, ps)
@@ -135,8 +136,7 @@ def subadditivity_check(measure: WeightSpec, sample_size: int = 500, trials: int
     if _integer("trials", trials) < 1:
         raise ValueError("trials must be at least 1")
     seed = _seed(seed)
-    if not isinstance(measure, WeightSpec):
-        raise TypeError(f"measure must be a WeightSpec, not {type(measure).__name__}")
+    _instance("measure", measure, WeightSpec)
     config = config or _LIGHT_CONFIG
 
     def evaluate(samples: np.ndarray) -> float:
@@ -168,11 +168,12 @@ def var_subadditivity_counterexample(alpha: float = 0.95, loss: float = 10.0,
     multiple of 1/1000) and nothing otherwise, represented by exhaustive
     samples, so a positive gap is a genuine VaR subadditivity violation.
     """
+    alpha, loss, tail_prob = _real("alpha", alpha), _real("loss", loss), _real("tail_prob", tail_prob)
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
     if not 0.0 < tail_prob < 1.0:
         raise ValueError("tail_prob must lie in (0, 1)")
-    if not math.isfinite(2.0 * float(loss)):
+    if not math.isfinite(2.0 * loss):
         raise ValueError(f"loss must be a number whose double is finite, not {loss!r}")
     n = 1000
     k = int(round(tail_prob * n))

@@ -14,8 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError
-from .risk_aversion import _real
+from .errors import DataError, _real
 
 __all__ = [
     "QuantileSource",
@@ -270,12 +269,13 @@ class QuantileSource:
     """A loss distribution described by its quantile function.
 
     Two kinds exist.  A normal source maps p to mean + sd * z(p) through
-    `inverse_normal_cdf`.  An empirical source holds sorted, read-only
-    samples and interpolates linearly between order statistics (type 7 of
+    `inverse_normal_cdf`.  An empirical source holds samples, a non-empty,
+    sorted 1-d float64 array with a finite range, which it makes read-only,
+    and interpolates linearly between order statistics (type 7 of
     Hyndman & Fan 1996); `uniform(lo, hi)` is the empirical source of
-    [lo, hi] and `constant(v)` that of [v].  Use the module factories
-    rather than constructing directly; they keep the per-kind parameter
-    rules in one place.
+    [lo, hi] and `constant(v)` that of [v].  The source checks its own
+    parameters, so the factories pass theirs straight in; `load_empirical`
+    sorts raw losses and names the bad row of a sample it refuses.
     """
 
     kind: str
@@ -287,6 +287,8 @@ class QuantileSource:
         if self.kind not in _KINDS:
             raise ValueError(f"unknown source kind {self.kind!r}")
         if self.kind == "normal":
+            object.__setattr__(self, "mean", float(_real("mean", self.mean)))
+            object.__setattr__(self, "sd", float(_real("sd", self.sd)))
             if not (math.isfinite(self.mean) and math.isfinite(self.sd)):
                 raise ValueError("normal mean and sd must be finite")
             if not self.sd > 0.0:
@@ -294,19 +296,19 @@ class QuantileSource:
             if not math.isfinite(abs(self.mean) + _DEEPEST_Z * self.sd):
                 raise ValueError(f"normal quantiles must stay finite: |mean| + {_DEEPEST_Z} sd overflows")
         else:
-            if self.samples is None or self.samples.size == 0:
+            samples = self.samples
+            if samples is None or np.size(samples) == 0:
                 raise ValueError("empirical source needs at least one sample")
-            if not math.isfinite(float(self.samples.max()) - float(self.samples.min())):
+            if not (isinstance(samples, np.ndarray) and samples.ndim == 1 and samples.dtype == np.float64):
+                raise ValueError("empirical samples must be a 1-d float64 array")
+            if not math.isfinite(float(samples[-1]) - float(samples[0])):
                 raise ValueError("empirical samples must be finite, and so must their range")
-            # np.diff's own subtraction, without its argument handling
-            steps = np.subtract(self.samples[1:], self.samples[:-1])
-            steps.flags.writeable = False
+            # np.diff's own subtraction; with finite ends, rises >= 0 make every sample finite
+            steps = np.subtract(samples[1:], samples[:-1])
+            if not steps.min(initial=0.0) >= 0.0:
+                raise ValueError("empirical samples must be sorted in ascending order")
+            samples.flags.writeable = steps.flags.writeable = False
             object.__setattr__(self, "steps", steps)
-
-
-def _empirical(samples: np.ndarray) -> QuantileSource:
-    samples.flags.writeable = False
-    return QuantileSource(kind="empirical", samples=samples)
 
 
 def standard_normal() -> QuantileSource:
@@ -314,17 +316,17 @@ def standard_normal() -> QuantileSource:
 
 
 def normal(mean: float, sd: float) -> QuantileSource:
-    return QuantileSource(kind="normal", mean=float(_real("mean", mean)), sd=float(_real("sd", sd)))
+    return QuantileSource(kind="normal", mean=mean, sd=sd)
 
 
 def constant(value: float) -> QuantileSource:
-    return _empirical(np.array([float(_real("value", value))]))
+    return QuantileSource(kind="empirical", samples=np.array([float(_real("value", value))]))
 
 
 def uniform(lo: float, hi: float) -> QuantileSource:
     if not _real("lo", lo) < _real("hi", hi):
         raise ValueError("uniform support needs lo < hi")
-    return _empirical(np.array([float(lo), float(hi)]))
+    return QuantileSource(kind="empirical", samples=np.array([float(lo), float(hi)]))
 
 
 def load_empirical(records) -> QuantileSource:
@@ -347,7 +349,7 @@ def load_empirical(records) -> QuantileSource:
     arr = np.sort(arr)
     if not math.isfinite(float(arr[-1]) - float(arr[0])):
         raise DataError("losses span more than the float range")
-    return _empirical(arr)
+    return QuantileSource(kind="empirical", samples=arr)
 
 
 def read_loss_csv(path) -> QuantileSource:
@@ -398,9 +400,9 @@ def _interpolate(source: QuantileSource, p, out):
     _BLOCK elements, into out, an array like it; a single sample is flat.
 
     The m samples are knots at the uniform p = j / (m - 1), so p falls in
-    segment j = floor(p (m - 1)), and p = 1 ends the last segment; the value
-    is samples[j] + steps[j] (p (m - 1) - j), with the intermediates in the
-    scratch's step and index rows.
+    segment j = floor(p (m - 1)), which lies below m - 1 for every p < 1;
+    the value is samples[j] + steps[j] (p (m - 1) - j), with the
+    intermediates in the scratch's step and index rows.
     """
     samples, m = source.samples, source.samples.size
     if m == 1:
@@ -411,10 +413,10 @@ def _interpolate(source: QuantileSource, p, out):
     # the segment is found as a float and then copied to j, since t -= j would
     # cast j to float through a temporary
     np.floor(t, out=step)
-    np.minimum(step, m - 2, out=step)
     np.copyto(j, step, casting="unsafe")
     t -= step
-    # j lies in [0, m - 2], so clip changes nothing, and lets take write out directly
+    # j lies in [0, m - 2] for p < 1, where clip changes nothing and lets take
+    # write out directly; at p = 1, j = m - 1 and t = 0 give samples[m - 1]
     np.take(source.steps, j, out=step, mode="clip")
     step *= t
     np.take(samples, j, out=out, mode="clip")

@@ -12,7 +12,8 @@ import numpy as np
 
 from .distributions import QuantileSource, quantile
 from .quadrature import QuadratureConfig, srm_converged, srm_replication
-from .risk_aversion import WeightSpec, _real
+from .errors import _real
+from .risk_aversion import WeightSpec
 
 __all__ = ["var", "es", "srm", "exponential_srm", "power_srm", "lpm"]
 
@@ -66,10 +67,13 @@ def lpm(sample, target: float, order: float) -> float:
     order 1 is the mean shortfall, order 2 its second moment, and so on.
     """
     arr = np.asarray(sample, dtype=float)
+    if arr.ndim != 1:
+        raise ValueError("sample must be a flat sequence of losses")
     if arr.size == 0:
         raise ValueError("sample must not be empty")
     if not np.all(np.isfinite(arr)):
         raise ValueError("sample values must be finite")
+    target, order = _real("target", target), _real("order", order)
     if np.isnan(target):
         raise ValueError("target must not be nan")
     if not order >= 0:

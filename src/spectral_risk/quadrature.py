@@ -40,18 +40,8 @@ from .distributions import (
     _upper_quantile,
     quantile,
 )
-from .errors import ConvergenceError, NumericalError, SingularityError
-from .risk_aversion import (
-    WeightSpec,
-    _integer,
-    _is_integer,
-    _log_tail_probability,
-    _mass_integral,
-    _real,
-    _weight,
-    _zero_below,
-    weight,
-)
+from .errors import ConvergenceError, NumericalError, _instance, _integer, _is_integer, _real, _seed
+from .risk_aversion import WeightSpec, _log_tail_probability, _mass_integral, _weight, _zero_below
 
 __all__ = [
     "QuadratureConfig",
@@ -85,15 +75,6 @@ def _rel_tol(rel_tol):
     if not rel_tol > 0.0:
         raise ValueError("rel_tol must be positive")
     return rel_tol
-
-
-def _seed(seed) -> int:
-    """seed as a Python int; TypeError for a non-integer, such as None or True."""
-    if not _is_integer(seed):
-        raise TypeError(f"seed must be a non-negative integer, not {seed!r}")
-    if seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, not {seed!r}")
-    return int(seed)
 
 
 @dataclass(frozen=True)
@@ -162,11 +143,9 @@ def _not_finite(x: float) -> NumericalError:
 def _endpoint_integrand(source: QuantileSource, spec: WeightSpec, p: float) -> float:
     """Endpoint integrand under zero_endpoints: the limiting value of
     phi(p) q(p) where that limit is finite, else 0, as where the weight
-    diverges (the power family at p = 1)."""
-    try:
-        v = weight(spec, p) * _limit_quantile(source, p)
-    except SingularityError:
-        return 0.0
+    diverges (the power family at p = 1, where the unchecked weight is +inf)."""
+    with np.errstate(divide="ignore"):  # the power weight's 0 ** (c - 1) at p = 1
+        v = float(_weight(spec, np.array(p))) * _limit_quantile(source, p)
     return v if math.isfinite(v) else 0.0
 
 
@@ -187,6 +166,7 @@ def srm_replication(
     value that is not finite raises NumericalError naming its node, as do
     finite values whose sum overflows.
     """
+    _instance("spec", spec, WeightSpec)
     config = config or QuadratureConfig()
     if config.scheme != "replication":
         raise ValueError("config.scheme must be 'replication'")
@@ -195,7 +175,7 @@ def srm_replication(
     clip = config.endpoint_policy == "clip_epsilon"
     if clip:
         eps = config.epsilon
-        ends = [(p, weight(spec, p) * quantile(source, p)) for p in (eps, 1.0 - eps)]
+        ends = [(p, float(_weight(spec, np.array(p))) * quantile(source, p)) for p in (eps, 1.0 - eps)]
         if 1.0 - eps < zero_below:
             # every mirror is clipped below the zero-weight edge, so every
             # interior node weighs +0.0 and the pass stops at its first chunk
@@ -384,6 +364,7 @@ def srm_converged(
     ConvergenceError, carrying the best estimate and its bound in the
     source's units, when rel_tol is below what either can certify.
     """
+    _instance("spec", spec, WeightSpec)
     rel_tol = _rel_tol(rel_tol)
     loc, scale, knots = _standard_form(source)
     if knots is None:
@@ -414,6 +395,7 @@ def srm_monte_carlo(
     the sum of the draws or of their squares overflows a double, so the
     value or the stderr would not be finite.
     """
+    _instance("spec", spec, WeightSpec)
     if not _is_integer(n_draws) or n_draws < 2:
         raise ValueError(f"n_draws must be an integer of at least 2, not {n_draws!r}")
     n_draws, seed = int(n_draws), _seed(seed)

@@ -15,12 +15,11 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .errors import SingularityError
+from .errors import SingularityError, _instance, _integer, _real
 
 __all__ = [
     "WeightSpec",
@@ -36,25 +35,6 @@ __all__ = [
 
 # the one parameter each weight family takes, None for a family without one
 _PARAMETER = {"exponential": "a", "power": "c", "es": "alpha", "flat": None}
-
-
-def _is_integer(x) -> bool:
-    """True for Python and numpy integers, False for bools and floats."""
-    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
-
-
-def _integer(name: str, x) -> int:
-    """x as a Python int, for an integer; else a ValueError names name and x."""
-    if not _is_integer(x):
-        raise ValueError(f"{name} must be an integer, not {x!r}")
-    return int(x)
-
-
-def _real(name: str, x):
-    """x as a Python number, for a real number but a bool; else a ValueError names x."""
-    if isinstance(x, bool) or not isinstance(x, numbers.Real):
-        raise ValueError(f"{name} must be a real number, not {x!r}")
-    return x.item() if isinstance(x, np.generic) else x
 
 
 @dataclass(frozen=True)
@@ -160,6 +140,7 @@ def weight(spec: WeightSpec, p):
     The power family diverges at p = 1 and raises there rather than
     returning inf.
     """
+    _instance("spec", spec, WeightSpec)
     arr = np.asarray(p, dtype=float)
     _check_unit_interval(arr)
     if spec.family == "power" and np.any(arr == 1.0):
@@ -203,6 +184,7 @@ def _zero_below(spec: WeightSpec) -> float:
 
 def weight_mass(spec: WeightSpec, p):
     """Cumulative weight on [0, p]: the integral of the weight up to p."""
+    _instance("spec", spec, WeightSpec)
     arr = np.asarray(p, dtype=float)
     _check_unit_interval(arr)
     fam = spec.family
@@ -291,8 +273,9 @@ def _log_tail_probability(spec: WeightSpec, w):
 def utility_exponential(x, a: float):
     """Exponential utility -exp(-a x), constant absolute risk aversion a;
     its normalised marginal utility is the weight WeightSpec.exponential(a)."""
-    if not a > 0.0:
-        raise ValueError("a must be positive")
+    a = _real("a", a)
+    if not 0.0 < a < math.inf:
+        raise ValueError("a must be positive and finite")
     out = -np.exp(-a * np.asarray(x, dtype=float))
     return float(out) if np.ndim(x) == 0 else out
 
@@ -301,6 +284,7 @@ def utility_power(x, c: float):
     """Power utility x**(1 - c) / (1 - c) for x > 0, constant relative risk
     aversion c; the weight WeightSpec.power(c) comes from utility_power(x,
     1 - c), that is from relative risk aversion 1 - c."""
+    c = _real("c", c)
     if not 0.0 < c < 1.0:
         raise ValueError("c must lie in (0, 1)")
     arr = np.asarray(x, dtype=float)
@@ -312,6 +296,7 @@ def utility_power(x, c: float):
 
 def ara(utility, x: float, step: float = 1e-4) -> float:
     """Absolute risk aversion -u''(x)/u'(x) by central differences."""
+    x, step = _real("x", x), _real("step", step)
     if not step > 0.0:
         raise ValueError("step must be positive")
     up = utility(x + step)
@@ -385,12 +370,10 @@ def check_admissibility(spec: WeightSpec, grid_size: int = 1001) -> Admissibilit
     strictly inside (0, 1) and the points 1 - 2**-k beyond them, up to
     2**-39 from p = 1.  Unit mass and strict rise are fixed by the spec's
     construction: every family is normalised, and every family but flat
-    rises.
+    rises.  weight refuses a spec that is not a WeightSpec.
     """
     if _integer("grid_size", grid_size) < 3:
         raise ValueError("grid_size must be at least 3")
-    if not isinstance(spec, WeightSpec):
-        raise TypeError(f"spec must be a WeightSpec, not {type(spec).__name__}")
     ps = np.linspace(0.0, 1.0, grid_size + 2)[1:-1]
     dyadic = 1.0 - 2.0 ** -np.arange(1.0, _DYADIC_DEPTH + 1)
     ps = np.concatenate((ps, dyadic[dyadic > ps[-1]]))

@@ -24,7 +24,7 @@ from spectral_risk import (
     standard_normal,
     uniform,
 )
-from spectral_risk.distributions import _BLOCK
+from spectral_risk.distributions import _BLOCK, _interpolate
 
 PROBES = [
     1e-300, 1e-100, 1e-20, 1e-12, 1e-9, 1e-6, 1e-4, 0.01, 0.1, 0.3, 0.5,
@@ -256,6 +256,30 @@ def test_quantile_source_refuses_an_unknown_kind_and_an_empty_sample():
             QuantileSource(kind="empirical", samples=samples)
 
 
+@pytest.mark.parametrize("samples,message", [
+    (np.array([3.0, 1.0, 2.0]), "must be sorted in ascending order"),
+    # finite ends, and a nan or an inf between them
+    (np.array([1.0, math.nan, 2.0]), "must be sorted in ascending order"),
+    (np.array([1.0, math.inf, 2.0]), "must be sorted in ascending order"),
+    (np.array([[1.0, 2.0], [3.0, 4.0]]), "must be a 1-d float64 array"),
+    (np.array([1, 2, 3]), "must be a 1-d float64 array"),
+    (np.array([1.0, 2.0], dtype=np.float32), "must be a 1-d float64 array"),
+    ([1.0, 2.0], "must be a 1-d float64 array"),
+], ids=["unsorted", "nan-inside", "inf-inside", "2-d", "int64", "float32", "list"])
+def test_empirical_source_refuses_samples_its_kernels_cannot_trust(samples, message):
+    # the interpolation and the closed form read sorted float64 rises
+    with pytest.raises(ValueError, match=message):
+        QuantileSource(kind="empirical", samples=samples)
+
+
+def test_empirical_source_freezes_the_array_it_is_given():
+    samples = np.array([1.0, 2.0, 4.0])
+    src = QuantileSource(kind="empirical", samples=samples)
+    assert src.samples is samples and not samples.flags.writeable
+    assert not src.steps.flags.writeable
+    assert quantile(src, 0.75) == 3.0
+
+
 def test_normal_source_rejects_bad_sd():
     with pytest.raises(ValueError, match="sd"):
         normal(0.0, 0.0)
@@ -276,6 +300,12 @@ def test_empirical_quantile_matches_order_statistic_interpolation():
     ordered = sorted(samples)
     for p in (0.01, 0.2, 0.5, 0.77, 0.99):
         assert quantile(src, p) == pytest.approx(interp_quantile(ordered, p), rel=1e-14)
+    # quantile refuses p = 0 and 1, which only the kernel reaches: they land
+    # on the first and the last sample exactly, where x[m - 2] + (x[m - 1] -
+    # x[m - 2]) rounds -1000 + 1000.1 to 0.10000000000002274
+    for knots in (src, load_empirical([0.1, -1000.0]), load_empirical([0.1, -999.0, -1000.0])):
+        ends = _interpolate(knots, np.array([0.0, 1.0]), np.empty(2))
+        assert ends.tolist() == [knots.samples[0], knots.samples[-1]]
 
 
 def test_empirical_quantile_hand_case():

@@ -160,6 +160,11 @@ def test_lpm_input_validation():
         lpm([1.0, 2.0, 3.0], 2.0, math.nan)
     with pytest.raises(ValueError, match="target"):
         lpm([1.0, 2.0, 3.0], math.nan, 1)
+    # a 2-d sample would be flattened, a scalar read as one loss
+    with pytest.raises(ValueError, match="sample must be a flat sequence of losses"):
+        lpm([[1.0, 2.0], [3.0, 4.0]], 2.0, 1)
+    with pytest.raises(ValueError, match="sample must be a flat sequence of losses"):
+        lpm(1.0, 2.0, 1)
 
 
 @given(st.lists(st.floats(-100.0, 100.0), min_size=1, max_size=30),

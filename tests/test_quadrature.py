@@ -56,33 +56,31 @@ NORMAL_POWER_REFS = {
 ES_95_CLOSED_FORM = 2.0627128075074275
 
 
-def _plant_nan(monkeypatch, at, node):
-    """Make the weight nan at one node: the endpoints are weighed by weight,
-    the interior, nodes and mirrors in their own rows, by _weight."""
-    real = getattr(quadrature, at)
-    if at == "weight":
-        monkeypatch.setattr(quadrature, at, lambda spec, p: math.nan if p == node else real(spec, p))
-    else:
-        def rows(spec, p, out=None):
-            out = real(spec, p, out)
-            out[p == node] = np.nan
-            return out
-        monkeypatch.setattr(quadrature, at, rows)
+def _plant_nan(monkeypatch, node):
+    """Make the weight nan at one node: _weight weighs the endpoints, one at
+    a time, and the interior, nodes and mirrors in their own rows."""
+    real = quadrature._weight
+
+    def rows(spec, p, out=None):
+        out = real(spec, p, out)
+        out[p == node] = np.nan
+        return out
+    monkeypatch.setattr(quadrature, "_weight", rows)
 
 
-@pytest.mark.parametrize("at,policy,eps,n,node", [
-    ("weight", "clip_epsilon", 1e-9, 3, 1e-9),
-    ("weight", "clip_epsilon", 1e-9, 3, 1.0 - 1e-9),
-    ("_weight", "zero_endpoints", 1e-9, 5, 0.25),
-    ("_weight", "zero_endpoints", 1e-9, 5, 0.75),
-    ("_weight", "zero_endpoints", 1e-9, 7, 0.5),
+@pytest.mark.parametrize("policy,eps,n,node", [
+    ("clip_epsilon", 1e-9, 3, 1e-9),
+    ("clip_epsilon", 1e-9, 3, 1.0 - 1e-9),
+    ("zero_endpoints", 1e-9, 5, 0.25),
+    ("zero_endpoints", 1e-9, 5, 0.75),
+    ("zero_endpoints", 1e-9, 7, 0.5),
     # clipped in place: the error names the node the integrand saw
-    ("_weight", "clip_epsilon", 0.3, 5, 0.3),
-    ("_weight", "clip_epsilon", 0.3, 5, 1.0 - 0.3),
+    ("clip_epsilon", 0.3, 5, 0.3),
+    ("clip_epsilon", 0.3, 5, 1.0 - 0.3),
 ], ids=["clipped-lo", "clipped-hi", "lower-half", "upper-half", "middle", "clipped-node",
         "clipped-mirror"])
-def test_replication_names_the_node_that_is_not_finite(monkeypatch, at, policy, eps, n, node):
-    _plant_nan(monkeypatch, at, node)
+def test_replication_names_the_node_that_is_not_finite(monkeypatch, policy, eps, n, node):
+    _plant_nan(monkeypatch, node)
     config = QuadratureConfig(n_points=n, endpoint_policy=policy, epsilon=eps)
     with pytest.raises(NumericalError, match="not finite") as exc_info:
         srm_replication(constant(1.0), WeightSpec.flat(), config)
@@ -334,21 +332,23 @@ def test_replication_evaluates_the_quantiles_of_weighted_chunks_only(monkeypatch
         return sum(nodes), weighed
 
     assert chunks == 8
-    # the first chunk's mirrors run down to 1 - _BLOCK / 2**17 = 0.9375 and
-    # reach 0.95; the second chunk's start below 0.95, so the pass stops
-    # there, having weighed the nodes and the mirrors of one chunk
-    assert evaluated(WeightSpec.es(0.95)) == (_BLOCK, [_BLOCK] * 2)
-    assert evaluated(WeightSpec.es(0.3)) == (half, [_BLOCK] * 2 * chunks)
-    assert evaluated(WeightSpec.exponential(a=5.0)) == (half, [_BLOCK] * 2 * chunks)
+    # the two endpoints are weighed first, one node each; the first chunk's
+    # mirrors run down to 1 - _BLOCK / 2**17 = 0.9375 and reach 0.95; the
+    # second chunk's start below 0.95, so the pass stops there, having
+    # weighed the nodes and the mirrors of one chunk
+    ends = [1, 1]
+    assert evaluated(WeightSpec.es(0.95)) == (_BLOCK, ends + [_BLOCK] * 2)
+    assert evaluated(WeightSpec.es(0.3)) == (half, ends + [_BLOCK] * 2 * chunks)
+    assert evaluated(WeightSpec.exponential(a=5.0)) == (half, ends + [_BLOCK] * 2 * chunks)
     # exp(-a (1 - p)) is zero below 1 - 746 / a = 0.9254, which the third
     # chunk's mirrors, from 0.875 down, all lie below
-    assert evaluated(WeightSpec.exponential(a=1e4)) == (2 * _BLOCK, [_BLOCK] * 4)
+    assert evaluated(WeightSpec.exponential(a=1e4)) == (2 * _BLOCK, ends + [_BLOCK] * 4)
     # clip_epsilon evaluates its two endpoints as scalars, and clips every
     # mirror to at most 1 - epsilon: at epsilon = 1e-9 the same chunks carry
     # weight, and at 0.1 none does, as 0.9 lies below 0.9254
     clip = {"endpoint_policy": "clip_epsilon"}
-    assert evaluated(WeightSpec.exponential(a=1e4), **clip, epsilon=1e-9) == (2 + 2 * _BLOCK, [_BLOCK] * 4)
-    assert evaluated(WeightSpec.exponential(a=1e4), **clip, epsilon=0.1) == (2, [])
+    assert evaluated(WeightSpec.exponential(a=1e4), **clip, epsilon=1e-9) == (2 + 2 * _BLOCK, ends + [_BLOCK] * 4)
+    assert evaluated(WeightSpec.exponential(a=1e4), **clip, epsilon=0.1) == (2, ends)
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="minor fault counts are read from Linux getrusage")

@@ -9,20 +9,29 @@ from hypothesis import given, strategies as st
 
 from reference import simpson_slow
 from spectral_risk import (
+    QuadratureConfig,
     SingularityError,
     WeightSpec,
     ara,
     check_admissibility,
     constant,
     es,
+    lpm,
     normal,
     rra,
+    srm,
+    srm_converged,
+    srm_monte_carlo,
+    srm_replication,
     standard_normal,
+    sweep_srm,
     uniform,
     utility_exponential,
     utility_power,
     var,
+    var_subadditivity_counterexample,
     weight,
+    weight_curve,
     weight_mass,
 )
 from spectral_risk.cli import main
@@ -304,6 +313,49 @@ def test_factories_take_real_numbers_only(build, name):
         build()
 
 
+@pytest.mark.parametrize("bad", ["0.5", True, None], ids=["str", "bool", "none"])
+@pytest.mark.parametrize("call,name", [
+    (lambda x: sweep_srm("power", [0.25, x], standard_normal()), "param_grid value"),
+    (lambda x: var_subadditivity_counterexample(alpha=x), "alpha"),
+    (lambda x: var_subadditivity_counterexample(loss=x), "loss"),
+    (lambda x: var_subadditivity_counterexample(tail_prob=x), "tail_prob"),
+    (lambda x: weight_curve(WeightSpec.flat(), p_max=x), "p_max"),
+    (lambda x: lpm([1.0, 2.0], x, 1), "target"),
+    (lambda x: lpm([1.0, 2.0], 1.5, x), "order"),
+    (lambda x: utility_exponential(1.0, x), "a"),
+    (lambda x: utility_power(1.0, x), "c"),
+    (lambda x: ara(lambda t: utility_exponential(t, 1.0), x), "x"),
+    (lambda x: ara(lambda t: utility_exponential(t, 1.0), 1.0, x), "step"),
+    (lambda x: rra(lambda t: utility_power(t, 0.5), x), "x"),
+    (lambda x: rra(lambda t: utility_power(t, 0.5), 1.0, x), "step"),
+], ids=["sweep-param_grid", "counterexample-alpha", "counterexample-loss",
+        "counterexample-tail_prob", "weight_curve-p_max", "lpm-target", "lpm-order",
+        "utility_exponential-a", "utility_power-c", "ara-x", "ara-step", "rra-x", "rra-step"])
+def test_public_functions_take_real_numbers_only(call, name, bad):
+    # each would run on a string or a bool, or fail inside numpy or a
+    # comparison with an error that names neither the argument nor its value
+    with pytest.raises(ValueError, match=f"^{name} must be a real number, not {bad!r}$"):
+        call(bad)
+
+
+@pytest.mark.parametrize("spec", ["flat", lambda p: 2.0 * p], ids=["str", "function"])
+@pytest.mark.parametrize("call", [
+    lambda spec: weight(spec, 0.5),
+    lambda spec: weight_mass(spec, 0.5),
+    lambda spec: weight_curve(spec),
+    lambda spec: srm(constant(1.0), spec),
+    lambda spec: srm_replication(constant(1.0), spec, QuadratureConfig(n_points=3)),
+    lambda spec: srm_converged(standard_normal(), spec),
+    lambda spec: srm_monte_carlo(standard_normal(), spec, n_draws=10),
+], ids=["weight", "weight_mass", "weight_curve", "srm", "srm_replication", "srm_converged",
+        "srm_monte_carlo"])
+def test_a_weight_is_a_weight_spec(call, spec):
+    # as check_admissibility and subadditivity_check already refused them;
+    # without the type rule, a str or a function fails on its missing .family
+    with pytest.raises(TypeError, match=f"^spec must be a WeightSpec, not {type(spec).__name__}$"):
+        call(spec)
+
+
 def test_factories_store_numeric_parameters_as_floats():
     assert WeightSpec.power(np.float32(0.5)).to_json() == '{"family": "power", "c": 0.5}'
     assert WeightSpec.exponential(np.int64(5)).to_json() == '{"family": "exponential", "a": 5.0}'
@@ -347,6 +399,9 @@ def test_ara_rejects_flat_utility_and_bad_step():
 def test_utility_domain_checks():
     with pytest.raises(ValueError, match="positive"):
         utility_exponential(1.0, a=0.0)
+    # -exp(-inf * 0) would be nan, with a RuntimeWarning
+    with pytest.raises(ValueError, match="a must be positive and finite"):
+        utility_exponential(0.0, math.inf)
     with pytest.raises(ValueError, match="c must lie"):
         utility_power(1.0, c=1.5)
     with pytest.raises(ValueError, match="x must be positive"):
