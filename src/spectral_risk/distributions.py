@@ -92,7 +92,8 @@ _BLOCK = 1 << 13
 
 class _Scratch(threading.local):
     """The package's block-sized rows, made once per thread: floats and masks
-    are the inverse normal's, step and index interpolation's, and chunk
+    are the inverse normal's, fraction and segment interpolation's knot
+    lookups, one for a node row and one for its mirrors, and chunk
     srm_replication's seven.  Temporaries freed on every block were faulted
     in afresh whenever glibc trimmed its heap: a traced stress-batch query
     took about 11,600 faults without these rows, and 3 with them.  Each
@@ -101,8 +102,8 @@ class _Scratch(threading.local):
     def __init__(self):
         self.floats = np.empty((9, _BLOCK))
         self.masks = np.empty((2, _BLOCK), dtype=bool)
-        self.step = np.empty(_BLOCK)
-        self.index = np.empty(_BLOCK, dtype=np.intp)
+        self.fraction = np.empty((2, _BLOCK))
+        self.segment = np.empty((2, _BLOCK), dtype=np.intp)
         self.chunk = np.empty((7, _BLOCK))
 
 
@@ -395,33 +396,49 @@ def _parse_lines(path, lines: list, start: int) -> list:
     return losses
 
 
-def _interpolate(source: QuantileSource, p, out):
-    """Order-statistic interpolation at p, a 1-d array in [0, 1] of at most
-    _BLOCK elements, into out, an array like it; a single sample is flat.
+def _lookup(p, m, fraction, segment, work):
+    """The knot lookup of order-statistic interpolation among m > 1 samples
+    at p, a 1-d array in [0, 1], into fraction and segment, float and intp
+    rows like p, with work a float row like p; it depends on p and m alone.
 
     The m samples are knots at the uniform p = j / (m - 1), so p falls in
-    segment j = floor(p (m - 1)), which lies below m - 1 for every p < 1;
-    the value is samples[j] + steps[j] (p (m - 1) - j), with the
-    intermediates in the scratch's step and index rows.
+    segment j = floor(p (m - 1)), which lies below m - 1 for every p < 1,
+    at the fraction p (m - 1) - j of it.
     """
-    samples, m = source.samples, source.samples.size
-    if m == 1:
-        out.fill(samples[0])
-        return out
-    step, j = _SCRATCH.step[:p.size], _SCRATCH.index[:p.size]
-    t = np.multiply(p, m - 1, out=out)
+    t = np.multiply(p, m - 1, out=fraction)
     # the segment is found as a float and then copied to j, since t -= j would
     # cast j to float through a temporary
-    np.floor(t, out=step)
-    np.copyto(j, step, casting="unsafe")
-    t -= step
+    np.floor(t, out=work)
+    np.copyto(segment, work, casting="unsafe")
+    t -= work
+
+
+def _gather(source: QuantileSource, fraction, segment, out, work):
+    """The interpolated quantile samples[j] + steps[j] fraction from a
+    lookup for the source's sample count, into out, with work a float row
+    like out; a single sample is flat and needs no lookup."""
+    samples = source.samples
+    if samples.size == 1:
+        out.fill(samples[0])
+        return out
     # j lies in [0, m - 2] for p < 1, where clip changes nothing and lets take
     # write out directly; at p = 1, j = m - 1 and t = 0 give samples[m - 1]
-    np.take(source.steps, j, out=step, mode="clip")
-    step *= t
-    np.take(samples, j, out=out, mode="clip")
-    out += step
+    np.take(source.steps, segment, out=work, mode="clip")
+    work *= fraction
+    np.take(samples, segment, out=out, mode="clip")
+    out += work
     return out
+
+
+def _interpolate(source: QuantileSource, p, out):
+    """Order-statistic interpolation at p, a 1-d array in [0, 1] of at most
+    _BLOCK elements, into out, an array like it: a lookup into the scratch's
+    first knot rows, then a gather."""
+    n = p.size
+    fraction, segment = _SCRATCH.fraction[:, :n], _SCRATCH.segment[0, :n]
+    if source.samples.size > 1:
+        _lookup(p, source.samples.size, fraction[0], segment, out)
+    return _gather(source, fraction[0], segment, out, fraction[1])
 
 
 def quantile(source: QuantileSource, p):
@@ -445,20 +462,30 @@ def _limit_quantile(source: QuantileSource, p: float) -> float:
     return float(source.samples[0] if p == 0.0 else source.samples[-1])
 
 
-def _quantile_pair(source: QuantileSource, p, p_mirror, q, q_mirror):
+def _quantile_pair(source: QuantileSource, p, p_mirror, q, q_mirror, work, looked_up=0):
     """Quantiles at the rows p <= 1/2 and p_mirror, their mirrors 1 - p up
-    to rounding, written into the rows q and q_mirror.  A normal source
-    evaluates the inverse normal once, at the lower-tail p where it is
-    accurate, and reflects it for the mirror; an empirical source
-    interpolates at both."""
+    to rounding, written into the rows q and q_mirror, with work a row like
+    them.  A normal source evaluates the inverse normal once, at the
+    lower-tail p where it is accurate, and reflects it for the mirror.  An
+    empirical source gathers at both from the lookups in the scratch's knot
+    rows, which it makes first unless looked_up, the sample count whose
+    lookups at these p the rows hold (0 for none), is its own.  Returns the
+    sample count whose lookups the rows then hold."""
     if source.kind == "normal":
         inverse_normal_cdf(p, out=q)
         q *= source.sd
         np.subtract(source.mean, q, out=q_mirror)
         q += source.mean
-    else:
-        _interpolate(source, p, q)
-        _interpolate(source, p_mirror, q_mirror)
+        return looked_up
+    n, m = p.size, source.samples.size
+    fraction, segment = _SCRATCH.fraction[:, :n], _SCRATCH.segment[:, :n]
+    if m > 1 and m != looked_up:
+        _lookup(p, m, fraction[0], segment[0], q)
+        _lookup(p_mirror, m, fraction[1], segment[1], q_mirror)
+        looked_up = m
+    _gather(source, fraction[0], segment[0], q, work)
+    _gather(source, fraction[1], segment[1], q_mirror, work)
+    return looked_up
 
 
 def _upper_block(log_t, out):

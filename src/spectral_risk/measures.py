@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .distributions import QuantileSource, quantile
-from .quadrature import QuadratureConfig, srm_converged, srm_replication
+from .quadrature import QuadratureConfig, _replication, srm_converged, srm_replication
 from .errors import _real
 from .risk_aversion import WeightSpec
 
@@ -34,10 +34,20 @@ def srm(source: QuantileSource, spec: WeightSpec, config: QuadratureConfig | Non
     Defaults to the replication scheme on its standard grid; pass a config
     with scheme converged for a value certified to its rel_tol.
     """
+    return _srm_values([source], spec, config)[0]
+
+
+def _srm_values(sources, spec: WeightSpec, config: QuadratureConfig | None = None) -> list[float]:
+    """srm of each source in a list, with the scheme chosen once: a
+    converged config takes one srm_converged per source, and a replication
+    config one pass for all of them, srm_replication's for a single source.
+    Raises what the first failing source raises on its own."""
     config = config or QuadratureConfig()
     if config.scheme == "converged":
-        return srm_converged(source, spec, rel_tol=config.rel_tol).value
-    return srm_replication(source, spec, config).value
+        return [srm_converged(source, spec, rel_tol=config.rel_tol).value for source in sources]
+    if len(sources) == 1:
+        return [srm_replication(sources[0], spec, config).value]
+    return _replication(sources, spec, config)
 
 
 def es(source: QuantileSource, alpha: float, config: QuadratureConfig | None = None) -> float:

@@ -9,7 +9,11 @@ pass over the lower half of the grid, with each node paired with its
 mirror 1 - p: a normal source then needs one inverse-normal evaluation
 per pair.  Each chunk of the pass is held in rows of the thread's
 scratch, distributions._SCRATCH, and weighed without the weight's range
-check, and the pass stops where the weight turns zero for good.  The
+check, and the pass stops where the weight turns zero for good.  One pass
+serves several sources, as the subadditivity stress's three positions:
+each chunk's nodes and weights, and the knot lookup of samples of one
+size, are formed once, and only the quantile gathers and the Simpson sums
+run per source, so each value keeps the bits of its own pass.  The
 converged scheme picks its evaluator by what the source is.  A
 piecewise-linear source has an exact closed form in the integrated
 weight mass, so its only error is float rounding, which it bounds.  A
@@ -140,12 +144,12 @@ def _not_finite(x: float) -> NumericalError:
     return NumericalError(f"integrand not finite at node x = {float(x)!r}")
 
 
-def _endpoint_integrand(source: QuantileSource, spec: WeightSpec, p: float) -> float:
-    """Endpoint integrand under zero_endpoints: the limiting value of
-    phi(p) q(p) where that limit is finite, else 0, as where the weight
-    diverges (the power family at p = 1, where the unchecked weight is +inf)."""
-    with np.errstate(divide="ignore"):  # the power weight's 0 ** (c - 1) at p = 1
-        v = float(_weight(spec, np.array(p))) * _limit_quantile(source, p)
+def _endpoint_integrand(source: QuantileSource, w: float, p: float) -> float:
+    """Endpoint integrand under zero_endpoints, for the weight w at p: the
+    limiting value of phi(p) q(p) where that limit is finite, else 0, as
+    where the weight diverges (the power family at p = 1, where the
+    unchecked weight is +inf)."""
+    v = w * _limit_quantile(source, p)
     return v if math.isfinite(v) else 0.0
 
 
@@ -164,10 +168,33 @@ def srm_replication(
     whose largest mirror lies below _zero_below(spec), where the weight is
     zero on and after it, and adds the +0.0 they sum to.  An integrand
     value that is not finite raises NumericalError naming its node, as do
-    finite values whose sum overflows.
+    finite values whose sum overflows.  This is the one-source case of
+    _replication, which evaluates several sources in one pass.
+    """
+    config = config or QuadratureConfig()
+    (value,) = _replication([source], spec, config)
+    return QuadratureResult(
+        value=value,
+        n_points=config.n_points,
+        scheme="replication",
+        endpoint_policy=config.endpoint_policy,
+        estimated_error=None,
+    )
+
+
+def _replication(sources, spec: WeightSpec, config: QuadratureConfig) -> list[float]:
+    """srm_replication's value for each of a list of sources, from one pass.
+
+    Each chunk's nodes, mirrors and weights are formed once for all the
+    sources, and the knot lookup of empirical sources once for each run of
+    them with one sample count; then each source gathers its quantiles,
+    forms w q in its quantile rows, so that w serves the next source, and
+    adds its chunk sum to its own total.  Every value therefore has the
+    bits of the source's own pass.  A source that fails drops the sources
+    after it, and the error raised is the one that the first failing
+    source raises on its own.
     """
     _instance("spec", spec, WeightSpec)
-    config = config or QuadratureConfig()
     if config.scheme != "replication":
         raise ValueError("config.scheme must be 'replication'")
     n = config.n_points
@@ -175,22 +202,35 @@ def srm_replication(
     clip = config.endpoint_policy == "clip_epsilon"
     if clip:
         eps = config.epsilon
-        ends = [(p, float(_weight(spec, np.array(p))) * quantile(source, p)) for p in (eps, 1.0 - eps)]
+        ends = (eps, 1.0 - eps)
         if 1.0 - eps < zero_below:
             # every mirror is clipped below the zero-weight edge, so every
             # interior node weighs +0.0 and the pass stops at its first chunk
             zero_below = math.inf
     else:
-        ends = [(p, _endpoint_integrand(source, spec, p)) for p in (0.0, 1.0)]
-    for p, y in ends:
-        if not math.isfinite(y):
-            raise _not_finite(p)
+        ends = (0.0, 1.0)
+    with np.errstate(divide="ignore"):  # the power weight's 0 ** (c - 1) at p = 1
+        end_weights = [float(_weight(spec, np.array(p))) for p in ends]
+    error = None
+    totals = []
+    for source in sources:
+        if clip:
+            ys = [w * quantile(source, p) for p, w in zip(ends, end_weights)]
+        else:
+            ys = [_endpoint_integrand(source, w, p) for p, w in zip(ends, end_weights)]
+        bad = [p for p, y in zip(ends, ys) if not math.isfinite(y)]
+        if bad:
+            error = _not_finite(bad[0])
+            break
+        totals.append(ys[0] + ys[1])
+    sources = sources[:len(totals)]
     h = 1.0 / (n - 1)
     mid = (n - 1) // 2
-    total = ends[0][1] + ends[1][1]
     for start in range(1, mid + 1, _BLOCK):
+        if not sources:
+            break
         if (n - 1 - start) * h < zero_below:
-            total += 0.0  # turns a total of -0.0 into +0.0
+            totals = [total + 0.0 for total in totals]  # turns a total of -0.0 into +0.0
             break
         stop = min(start + _BLOCK, mid + 1)
         size = stop - start
@@ -204,32 +244,36 @@ def srm_replication(
             np.minimum(p_mirror, 1.0 - eps, out=p_mirror)
         _weight(spec, p, w)
         _weight(spec, p_mirror, w_mirror)
-        _quantile_pair(source, p, p_mirror, q, q_mirror)
-        with np.errstate(over="ignore"):  # an overflow is named or raised below
-            w *= q
-            w_mirror *= q_mirror
-            np.add(w, w_mirror, out=y)
-            if stop == mid + 1:
-                y[-1] *= 0.5
-            part = 4.0 * float(y[0::2].sum()) + 2.0 * float(y[1::2].sum())
-        if not math.isfinite(part):
-            for nodes, values in ((p, w), (p_mirror, w_mirror)):
-                bad = ~np.isfinite(values)
-                if np.any(bad):
-                    raise _not_finite(nodes[np.argmax(bad)])
-        total += part
-    value = total * h / 3.0
-    if not math.isfinite(value):
-        raise NumericalError(
-            f"the {n:,}-node Simpson sum overflows a double; try the converged scheme"
-        )
-    return QuadratureResult(
-        value=value,
-        n_points=n,
-        scheme="replication",
-        endpoint_policy=config.endpoint_policy,
-        estimated_error=None,
-    )
+        looked_up = 0
+        for k, source in enumerate(sources):
+            looked_up = _quantile_pair(source, p, p_mirror, q, q_mirror, y, looked_up)
+            with np.errstate(over="ignore"):  # an overflow is named or raised below
+                np.multiply(w, q, out=q)
+                np.multiply(w_mirror, q_mirror, out=q_mirror)
+                np.add(q, q_mirror, out=y)
+                if stop == mid + 1:
+                    y[-1] *= 0.5
+                part = 4.0 * float(y[0::2].sum()) + 2.0 * float(y[1::2].sum())
+            if not math.isfinite(part):
+                bad = [nodes[np.argmax(~np.isfinite(values))]
+                       for nodes, values in ((p, q), (p_mirror, q_mirror))
+                       if not np.isfinite(values).all()]
+                if bad:
+                    error = _not_finite(bad[0])
+                    sources, totals = sources[:k], totals[:k]
+                    break
+            totals[k] += part
+    values = []
+    for total in totals:
+        value = total * h / 3.0
+        if not math.isfinite(value):
+            raise NumericalError(
+                f"the {n:,}-node Simpson sum overflows a double; try the converged scheme"
+            )
+        values.append(value)
+    if error is not None:
+        raise error
+    return values
 
 
 def _tanh_sinh_table():

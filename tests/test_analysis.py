@@ -3,6 +3,7 @@
 import json
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,9 +25,13 @@ from spectral_risk import (
     sweep_to_csv,
     var,
     var_subadditivity_counterexample,
+    srm_replication,
     weight,
     weight_curve,
 )
+from spectral_risk import quadrature
+from spectral_risk.analysis import _LIGHT_CONFIG, _draw_pair
+from spectral_risk.distributions import _BLOCK
 
 FAST = QuadratureConfig(n_points=10_001)
 
@@ -108,6 +113,52 @@ def test_subadditivity_check_is_deterministic():
     assert a.to_dict() == {"trials": 10, "violations": a.violations,
                            "worst_gap": a.worst_gap, "seed": 9}
     assert list(a.to_dict()) == ["trials", "violations", "worst_gap", "seed"]
+
+
+def subadditivity_reference(measure, sample_size, trials, seed, config):
+    """subadditivity_check's report, from one srm_replication call per position."""
+    violations, worst_gap = 0, -math.inf
+    for trial in range(trials):
+        a, b = _draw_pair(np.random.default_rng([seed, trial]), sample_size, trial % 3)
+        ra, rb, rc = (srm_replication(load_empirical(x), measure, config).value for x in (a, b, a + b))
+        gap = rc - ra - rb
+        if gap > 1e-9 * max(1.0, abs(ra) + abs(rb)):
+            violations += 1
+        worst_gap = max(worst_gap, gap)
+    return violations, worst_gap.hex()
+
+
+@pytest.mark.parametrize("policy", ["zero_endpoints", "clip_epsilon"])
+@pytest.mark.parametrize("sample_size", [2, 500])
+@pytest.mark.parametrize("measure", [
+    WeightSpec.exponential(a=5.0), WeightSpec.power(0.5), WeightSpec.es(0.95), WeightSpec.flat(),
+], ids=["exponential", "power", "es", "flat"])
+def test_subadditivity_check_gives_the_bits_of_one_pass_per_position(measure, sample_size, policy):
+    # a trial's three positions share one replication pass; three trials
+    # take the three draw shapes
+    config = replace(_LIGHT_CONFIG, endpoint_policy=policy)
+    report = subadditivity_check(measure, sample_size=sample_size, trials=3, seed=7, config=config)
+    assert (report.violations, report.worst_gap.hex()) == subadditivity_reference(
+        measure, sample_size, 3, 7, config)
+
+
+def test_a_stress_trial_weighs_each_chunk_once(monkeypatch):
+    weighed = []
+    unchecked_weight = quadrature._weight
+
+    def counted_weights(spec, p, out=None):
+        weighed.append(np.size(p))
+        return unchecked_weight(spec, p, out)
+
+    monkeypatch.setattr(quadrature, "_weight", counted_weights)
+    subadditivity_check(WeightSpec.exponential(a=5.0), trials=1)
+    half = (_LIGHT_CONFIG.n_points - 1) // 2
+    chunks = -(-half // _BLOCK)
+    assert chunks == 7
+    # the two endpoints, then each chunk's nodes and mirrors, once for the
+    # three positions: 2 calls a chunk, where a pass per position makes 6
+    assert len(weighed) == 2 + 2 * chunks
+    assert weighed[:2] == [1, 1] and sum(weighed) == 2 + 2 * half
 
 
 def test_subadditivity_check_validation():

@@ -36,9 +36,10 @@ from spectral_risk import (
     weight_mass,
 )
 from spectral_risk import distributions, quadrature
+from spectral_risk.measures import _srm_values
 from spectral_risk.distributions import _BLOCK, _quantile_pair, _standard_form, _upper_quantile
 from spectral_risk.quadrature import _TS_ENDS, _TS_NODES, _TS_WEIGHTS, _endpoint_integrand, _tanh_sinh
-from spectral_risk.risk_aversion import _log_tail_probability
+from spectral_risk.risk_aversion import _log_tail_probability, _weight
 
 # high-precision values computed independently for these source and weight
 # pairs; the converged scheme at rel_tol 1e-9 must land within 5e-9 of them
@@ -217,6 +218,12 @@ def test_replication_is_positively_homogeneous_on_samples():
     assert two == 2.0 * one
 
 
+def zero_endpoints(source, spec):
+    """The two endpoint integrands under zero_endpoints."""
+    with np.errstate(divide="ignore"):  # the power weight is +inf at p = 1
+        return tuple(_endpoint_integrand(source, float(_weight(spec, np.array(p))), p) for p in (0.0, 1.0))
+
+
 def _grid_reference(source, spec, n, policy, eps=1e-9):
     """Replication value from the integrand at every node of the grid,
     summed by the whole-grid Simpson dot product."""
@@ -228,8 +235,7 @@ def _grid_reference(source, spec, n, policy, eps=1e-9):
     else:
         y = np.empty(n)
         y[1:-1] = weight(spec, p[1:-1]) * quantile(source, p[1:-1])
-        y[0] = _endpoint_integrand(source, spec, 0.0)
-        y[-1] = _endpoint_integrand(source, spec, 1.0)
+        y[0], y[-1] = zero_endpoints(source, spec)
     return simpson_grid(y, 1.0 / (n - 1))
 
 
@@ -259,7 +265,7 @@ def test_replication_matches_the_whole_grid_simpson_reference(source, spec, poli
 def quantile_pair(source, p, p_mirror):
     """The quantiles that _quantile_pair writes into two new arrays."""
     q, q_mirror = np.empty_like(p), np.empty_like(p_mirror)
-    _quantile_pair(source, p, p_mirror, q, q_mirror)
+    _quantile_pair(source, p, p_mirror, q, q_mirror, np.empty_like(p))
     return q, q_mirror
 
 
@@ -296,7 +302,7 @@ def test_replication_matches_the_every_node_reference_bitwise(source, policy, ep
         if policy == "clip_epsilon":
             ends = tuple(weight(spec, p) * quantile(source, p) for p in (eps, 1.0 - eps))
         else:
-            ends = tuple(_endpoint_integrand(source, spec, p) for p in (0.0, 1.0))
+            ends = zero_endpoints(source, spec)
         for n in (3, 2 * _BLOCK - 1, 2 * _BLOCK + 1, 100_001):
             config = QuadratureConfig(n_points=n, endpoint_policy=policy, epsilon=eps)
             got = srm_replication(source, spec, config).value
@@ -305,6 +311,67 @@ def test_replication_matches_the_every_node_reference_bitwise(source, policy, ep
                 lambda p: weight(spec, p), n, policy, eps, ends, _BLOCK,
             )
             assert got.hex() == ref.hex(), (spec, n)
+
+
+def one_pass_per_source(sources, spec, config):
+    """Each source's srm_replication value, or what the first to fail raises."""
+    try:
+        return [srm_replication(source, spec, config).value.hex() for source in sources]
+    except Exception as exc:  # the error itself is the outcome compared
+        return type(exc), str(exc)
+
+
+def one_pass(sources, spec, config):
+    try:
+        return [value.hex() for value in _srm_values(sources, spec, config)]
+    except Exception as exc:  # the error itself is the outcome compared
+        return type(exc), str(exc)
+
+
+# sources of several sizes and kinds, and three that fail on some grids
+_SOURCES = [
+    normal(0.3, 1.2), standard_normal(), constant(4.2), constant(-0.0), uniform(-1.5, 2.25),
+    load_empirical([0.1, -1000.0]),
+    *(load_empirical(np.random.default_rng([41, k]).lognormal(size=size))
+      for k, size in enumerate((3, 500, 500, 500, 20_000))),
+]
+_FAILING = [constant(1e307), constant(1e308), load_empirical([-1e308, -1e308, 0.0])]
+
+
+def test_one_pass_over_many_sources_gives_each_its_own_bits_and_the_first_error():
+    rng = np.random.default_rng(43)
+    specs = [WeightSpec.exponential(a=5.0), WeightSpec.exponential(a=1e4), WeightSpec.power(0.5),
+             WeightSpec.es(0.9), WeightSpec.flat()]
+    for _ in range(200):
+        sources = [_SOURCES[k] for k in rng.integers(len(_SOURCES), size=int(rng.integers(2, 6)))]
+        if rng.random() < 0.3:
+            sources[rng.integers(len(sources))] = _FAILING[rng.integers(len(_FAILING))]
+        spec = specs[rng.integers(len(specs))]
+        policy = ("zero_endpoints", "clip_epsilon")[rng.integers(2)]
+        n = int((3, 2 * _BLOCK + 1, 2 * _BLOCK + 3, 100_001)[rng.integers(4)])
+        config = QuadratureConfig(n_points=n, endpoint_policy=policy)
+        assert one_pass(sources, spec, config) == one_pass_per_source(sources, spec, config)
+
+
+@pytest.mark.parametrize("policy", ["zero_endpoints", "clip_epsilon"])
+@pytest.mark.parametrize("first,later,spec", [
+    # the first source fails in the second chunk, at 0.91011, and the later
+    # one in the first, at 0.99999, or at its clipped endpoint
+    (load_empirical([-1e308, -1e308, 0.0]), constant(1e308), WeightSpec.es(0.9)),
+    # the first source's values are finite and only their sum overflows,
+    # after the last chunk
+    (constant(1e307), constant(1e308), WeightSpec.exponential(a=5.0)),
+], ids=["node", "sum"])
+def test_one_pass_raises_the_error_of_the_first_failing_source(first, later, spec, policy):
+    config = QuadratureConfig(n_points=100_001, endpoint_policy=policy)
+    with pytest.raises(NumericalError) as own:
+        srm_replication(first, spec, config)
+    with pytest.raises(NumericalError, match="not finite"):
+        srm_replication(later, spec, config)
+    for sources in ([first, later], [standard_normal(), first, later, first]):
+        with pytest.raises(NumericalError) as joint:
+            _srm_values(sources, spec, config)
+        assert str(joint.value) == str(own.value)
 
 
 def test_replication_evaluates_the_quantiles_of_weighted_chunks_only(monkeypatch):

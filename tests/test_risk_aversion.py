@@ -2,6 +2,7 @@
 
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -35,6 +36,7 @@ from spectral_risk import (
     weight_mass,
 )
 from spectral_risk.cli import main
+from spectral_risk.errors import _real
 from spectral_risk.risk_aversion import _log_tail_probability, _weight, _zero_below
 
 
@@ -336,6 +338,29 @@ def test_public_functions_take_real_numbers_only(call, name, bad):
     # comparison with an error that names neither the argument nor its value
     with pytest.raises(ValueError, match=f"^{name} must be a real number, not {bad!r}$"):
         call(bad)
+
+
+@pytest.mark.parametrize("big", [10**400, -10**400, Fraction(10**400, 3)], ids=["int", "negative-int", "fraction"])
+@pytest.mark.parametrize("call,name", [
+    (lambda x: normal(x, 1), "mean"),
+    (lambda x: WeightSpec.power(x), "c"),
+    (lambda x: utility_exponential(1.0, x), "a"),
+    (lambda x: lpm([1.0], x, 1), "target"),
+    (lambda x: QuadratureConfig(rel_tol=x), "rel_tol"),
+    (lambda x: var_subadditivity_counterexample(loss=x), "loss"),
+], ids=["normal-mean", "power-c", "utility_exponential-a", "lpm-target", "config-rel_tol",
+        "counterexample-loss"])
+def test_real_numbers_beyond_a_double_are_refused_by_name(call, name, big):
+    # float() of each overflows: an OverflowError, a TypeError inside numpy,
+    # or, for rel_tol, a config that constructs
+    with pytest.raises(ValueError, match=f"^{name} must be a real number within the range of a double$"):
+        call(big)
+
+
+def test_real_numbers_that_pass_keep_their_type():
+    for x in (10**300, -7, Fraction(1, 3), 2.5, math.inf):
+        assert type(_real("x", x)) is type(x) and _real("x", x) == x
+    assert type(_real("x", np.float32(0.5))) is float
 
 
 @pytest.mark.parametrize("spec", ["flat", lambda p: 2.0 * p], ids=["str", "function"])
