@@ -36,8 +36,8 @@ from spectral_risk import (
     weight_mass,
 )
 from spectral_risk import distributions, quadrature
-from spectral_risk.measures import _srm_values
 from spectral_risk.distributions import _BLOCK, _quantile_pair, _standard_form, _upper_quantile
+from spectral_risk.measures import _srm_values
 from spectral_risk.quadrature import _TS_ENDS, _TS_NODES, _TS_WEIGHTS, _endpoint_integrand, _tanh_sinh
 from spectral_risk.risk_aversion import _log_tail_probability, _weight
 
@@ -317,14 +317,14 @@ def one_pass_per_source(sources, spec, config):
     """Each source's srm_replication value, or what the first to fail raises."""
     try:
         return [srm_replication(source, spec, config).value.hex() for source in sources]
-    except Exception as exc:  # the error itself is the outcome compared
+    except NumericalError as exc:  # the error itself is the outcome compared
         return type(exc), str(exc)
 
 
 def one_pass(sources, spec, config):
     try:
         return [value.hex() for value in _srm_values(sources, spec, config)]
-    except Exception as exc:  # the error itself is the outcome compared
+    except NumericalError as exc:  # the error itself is the outcome compared
         return type(exc), str(exc)
 
 
