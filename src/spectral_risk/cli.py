@@ -45,12 +45,12 @@ class _Parser(argparse.ArgumentParser):
 def _add_source_args(sp):
     sp.add_argument(
         "--dist",
-        default="standard-normal",
+        default="normal",
         choices=["standard-normal", "normal", "empirical", "constant", "uniform"],
-        help="loss distribution (default standard-normal)",
+        help="loss distribution (default normal, which at --mean 0 --sd 1 is standard-normal)",
     )
-    sp.add_argument("--mean", type=float, default=0.0, help="mean for --dist normal")
-    sp.add_argument("--sd", type=float, default=1.0, help="sd for --dist normal")
+    sp.add_argument("--mean", type=float, default=0.0, help="mean for --dist normal (default 0)")
+    sp.add_argument("--sd", type=float, default=1.0, help="sd for --dist normal (default 1)")
     sp.add_argument("--input", help="loss CSV for --dist empirical (one loss per line)")
     sp.add_argument("--value", type=float, help="loss level for --dist constant")
     sp.add_argument("--lo", type=float, help="lower bound for --dist uniform")

@@ -145,10 +145,13 @@ def _not_finite(x: float) -> NumericalError:
 
 
 def _endpoint_integrand(source: QuantileSource, w: float, p: float) -> float:
-    """Endpoint integrand under zero_endpoints, for the weight w at p: the
-    limiting value of phi(p) q(p) where that limit is finite, else 0, as
-    where the weight diverges (the power family at p = 1, where the
-    unchecked weight is +inf)."""
+    """The integrand at an end p of the grid, for the weight w there: w q(p)
+    for p inside (0, 1), where clip_epsilon puts the ends, and at p = 0 or
+    1 the limit of phi(p) q(p) where it is finite, else 0, as where the
+    weight diverges (the power family at p = 1, where the unchecked weight
+    is +inf)."""
+    if 0.0 < p < 1.0:
+        return w * quantile(source, p)
     v = w * _limit_quantile(source, p)
     return v if math.isfinite(v) else 0.0
 
@@ -163,13 +166,17 @@ def srm_replication(
     lower half in chunks of _BLOCK nodes, which start at odd k, so a
     chunk's even and odd positions are the nodes of coefficient 4 and 2,
     summed as two strided sums; the middle node, its own mirror, is counted
-    once.  Under clip_epsilon the nodes are clipped in place, so that an
-    error names the node evaluated.  The pass stops at the first chunk
-    whose largest mirror lies below _zero_below(spec), where the weight is
-    zero on and after it, and adds the +0.0 they sum to.  An integrand
-    value that is not finite raises NumericalError naming its node, as do
-    finite values whose sum overflows.  This is the one-source case of
-    _replication, which evaluates several sources in one pass.
+    once.  Each special case has one rule.  Ends: the two ends, 0 and 1,
+    or epsilon and 1 - epsilon under clip_epsilon, take
+    _endpoint_integrand, and the policy otherwise only clips the nodes, in
+    place, so that an error names the node evaluated.  Zero-weight stop:
+    the pass stops at the first chunk whose largest mirror, clipped to the
+    last end, lies below _zero_below(spec), where the weight is zero on and
+    after it, and adds the +0.0 they sum to.  Failures: the pass raises at
+    the first integrand value that is not finite, naming its node, and
+    raises NumericalError as well when finite values sum past a double.
+    This is the one-source case of _replication, which evaluates several
+    sources in one pass.
     """
     config = config or QuadratureConfig()
     (value,) = _replication([source], spec, config)
@@ -190,8 +197,10 @@ def _replication(sources, spec: WeightSpec, config: QuadratureConfig) -> list[fl
     them with one sample count; then each source gathers its quantiles,
     forms w q in its quantile rows, so that w serves the next source, and
     adds its chunk sum to its own total.  Every value therefore has the
-    bits of the source's own pass.  A source that fails drops the sources
-    after it, and the error raised is the one that the first failing
+    bits of the source's own pass.  The pass raises at the first failure
+    it meets, at an end or a node of source k, but first runs each source
+    before k alone, so that one which would fail later in the grid raises
+    its own error: the error raised is the one that the first failing
     source raises on its own.
     """
     _instance("spec", spec, WeightSpec)
@@ -200,36 +209,29 @@ def _replication(sources, spec: WeightSpec, config: QuadratureConfig) -> list[fl
     n = config.n_points
     zero_below = _zero_below(spec)
     clip = config.endpoint_policy == "clip_epsilon"
-    if clip:
-        eps = config.epsilon
-        ends = (eps, 1.0 - eps)
-        if 1.0 - eps < zero_below:
-            # every mirror is clipped below the zero-weight edge, so every
-            # interior node weighs +0.0 and the pass stops at its first chunk
-            zero_below = math.inf
-    else:
-        ends = (0.0, 1.0)
+    eps = config.epsilon
+    ends = (eps, 1.0 - eps) if clip else (0.0, 1.0)
     with np.errstate(divide="ignore"):  # the power weight's 0 ** (c - 1) at p = 1
         end_weights = [float(_weight(spec, np.array(p))) for p in ends]
-    error = None
+
+    def fail(k, p):
+        error = _not_finite(p)
+        # these runs overwrite the scratch rows, as this pass never resumes
+        for source in sources[:k]:
+            _replication([source], spec, config)
+        raise error
+
     totals = []
-    for source in sources:
-        if clip:
-            ys = [w * quantile(source, p) for p, w in zip(ends, end_weights)]
-        else:
-            ys = [_endpoint_integrand(source, w, p) for p, w in zip(ends, end_weights)]
-        bad = [p for p, y in zip(ends, ys) if not math.isfinite(y)]
-        if bad:
-            error = _not_finite(bad[0])
-            break
+    for k, source in enumerate(sources):
+        ys = [_endpoint_integrand(source, w, p) for p, w in zip(ends, end_weights)]
+        for p, y in zip(ends, ys):
+            if not math.isfinite(y):
+                fail(k, p)
         totals.append(ys[0] + ys[1])
-    sources = sources[:len(totals)]
     h = 1.0 / (n - 1)
     mid = (n - 1) // 2
     for start in range(1, mid + 1, _BLOCK):
-        if not sources:
-            break
-        if (n - 1 - start) * h < zero_below:
+        if min((n - 1 - start) * h, ends[1]) < zero_below:
             totals = [total + 0.0 for total in totals]  # turns a total of -0.0 into +0.0
             break
         stop = min(start + _BLOCK, mid + 1)
@@ -255,13 +257,9 @@ def _replication(sources, spec: WeightSpec, config: QuadratureConfig) -> list[fl
                     y[-1] *= 0.5
                 part = 4.0 * float(y[0::2].sum()) + 2.0 * float(y[1::2].sum())
             if not math.isfinite(part):
-                bad = [nodes[np.argmax(~np.isfinite(values))]
-                       for nodes, values in ((p, q), (p_mirror, q_mirror))
-                       if not np.isfinite(values).all()]
-                if bad:
-                    error = _not_finite(bad[0])
-                    sources, totals = sources[:k], totals[:k]
-                    break
+                for nodes, values in ((p, q), (p_mirror, q_mirror)):
+                    if not np.isfinite(values).all():
+                        fail(k, nodes[np.argmax(~np.isfinite(values))])
             totals[k] += part
     values = []
     for total in totals:
@@ -271,8 +269,6 @@ def _replication(sources, spec: WeightSpec, config: QuadratureConfig) -> list[fl
                 f"the {n:,}-node Simpson sum overflows a double; try the converged scheme"
             )
         values.append(value)
-    if error is not None:
-        raise error
     return values
 
 
@@ -379,7 +375,7 @@ def _closed_form(x: np.ndarray, steps: np.ndarray, spec: WeightSpec,
         # _EPS scales spread first: spread times the level count can overflow
         err = _EPS * 2.0 * size + (math.log2(n) + 32.0) * (_EPS * spread)
         err += min(spread, n * 2.0**-1073)
-    if not err <= rel_tol * size:
+    if err > rel_tol * size:  # a zero bound passes, even at rel_tol = inf
         raise ConvergenceError(
             f"closed form rounding bound {err!r} exceeds the tolerance (best estimate {value!r})",
             best_estimate=value,
@@ -428,8 +424,11 @@ def srm_monte_carlo(
     from the weight density.  normal(mean, sd) is mean + sd times the
     standard normal, drawn at log t by distributions._upper_quantile as in
     srm_converged.  t is floored at 2**-53, so p = 1 - t at 1 - 2**-53,
-    which biases power weights low by their mass below it, 2**(-53 c):
-    -12.7 standard errors at c = 0.1 and a million draws (ROADMAP item 1).
+    which biases low every weight with mass beyond it (ROADMAP item 1): on
+    the standard normal, -12.7 standard errors at power c = 0.1 and -123
+    at c = 0.05 with a million draws; with 100,000 draws, -48 at es(1 -
+    1e-15), -771 at exponential a = 1e16 and -13,930 at power c = 1e-3,
+    and power c = 1e-300 gives 8.21 against 1.25e150.
 
     The draws come from one generator, default_rng([seed]), so a result is
     reproducible for a given (seed, n_draws), and any seed but a

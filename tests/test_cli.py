@@ -12,7 +12,7 @@ import pytest
 from spectral_risk import analysis, measures
 from spectral_risk.analysis import SubadditivityReport, subadditivity_check, sweep_srm, weight_curve
 from spectral_risk.cli import main
-from spectral_risk.distributions import standard_normal
+from spectral_risk.distributions import normal, standard_normal
 from spectral_risk.quadrature import QuadratureConfig, convergence_study, srm_converged
 from spectral_risk.risk_aversion import WeightSpec, check_admissibility
 
@@ -64,6 +64,35 @@ def test_negative_values_follow_their_flags(tmp_path, capsys):
     code, _, err = run(["sweep", "--family", "power", "--grid", "-1:2:3",
                         "--out", str(tmp_path / "sweep.csv")], capsys)
     assert (code, err) == (1, "error: c must lie in (0, 1)\n")
+
+
+def test_compute_reads_mean_and_sd_without_dist(capsys):
+    base = ["compute", "--measure", "es", "--alpha", "0.95"]
+    assert run(base + ["--mean", "5"], capsys) == (0, "7.062713\n", "")
+    code, out, _ = run(base + ["--mean", "5", "--sd", "2", "--precision", "15"], capsys)
+    assert (code, out) == run(base + ["--dist", "normal", "--mean", "5", "--sd", "2",
+                                      "--precision", "15"], capsys)[:2]
+    assert out == f"{measures.es(normal(5.0, 2.0), 0.95):.15f}\n"
+    # --dist standard-normal stays a choice, and ignores both flags
+    assert run(base + ["--dist", "standard-normal", "--mean", "5"], capsys) == (0, "2.062713\n", "")
+
+
+@pytest.mark.parametrize("command", [
+    ["sweep", "--family", "exponential", "--grid", "1:5:2", "--n", "101"],
+    ["convergence", "--family", "power", "--c", "0.5", "--n-list", "101,1001"],
+], ids=["sweep", "convergence"])
+def test_sweep_and_convergence_read_mean_and_sd_without_dist(command, tmp_path, capsys):
+    def written(*flags):
+        out = tmp_path / "out.csv"
+        code, stdout, _ = run(command + [*flags, "--out", str(out)], capsys)
+        assert code == 0
+        return stdout, out.read_text(encoding="utf-8")
+
+    moved = written("--mean", "5", "--sd", "2")
+    assert moved == written("--dist", "normal", "--mean", "5", "--sd", "2")
+    assert moved != written()
+    # the default normal at --mean 0 --sd 1 is the standard normal, bit for bit
+    assert written() == written("--dist", "standard-normal")
 
 
 def test_compute_srm_exponential_on_an_explicit_grid(capsys):
@@ -279,6 +308,12 @@ def test_an_output_path_that_cannot_be_written_exits_with_code_2(argv, tmp_path,
     code, out, err = run([paths.get(arg, arg) for arg in argv], capsys)
     assert (code, out) == (2, "")
     assert err.startswith("error: [Errno ")
+
+
+def test_any_tolerance_certifies_a_zero_loss(capsys):
+    base = ["compute", "--measure", "es", "--alpha", "0.95", "--dist", "constant", "--value", "0"]
+    for rel_tol in ("inf", "1e-9"):
+        assert run(base + ["--rel-tol", rel_tol], capsys) == (0, "0.000000\n", "")
 
 
 def test_numeric_failures_exit_with_code_3(capsys):

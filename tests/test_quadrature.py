@@ -374,6 +374,49 @@ def test_one_pass_raises_the_error_of_the_first_failing_source(first, later, spe
         assert str(joint.value) == str(own.value)
 
 
+def test_a_failure_runs_only_the_earlier_sources_again_each_alone_and_once(monkeypatch):
+    calls = []
+    quantile_pair = quadrature._quantile_pair
+
+    def counted(source, *args):
+        calls.append(source)
+        return quantile_pair(source, *args)
+
+    monkeypatch.setattr(quadrature, "_quantile_pair", counted)
+    config = QuadratureConfig(n_points=100_001)  # 7 chunks, every one weighed
+    spec = WeightSpec.exponential(a=5.0)
+    first, later, failing = normal(0.3, 1.2), constant(4.2), constant(1e308)
+    with pytest.raises(NumericalError) as own:
+        srm_replication(failing, spec, config)
+    assert len(calls) == 1  # w q overflows at the first chunk's largest mirror
+    # a group that passes runs one pass: each chunk once per source
+    calls.clear()
+    _srm_values([first, later], spec, config)
+    assert calls == [first, later] * 7
+    # the second source fails in the first chunk, and only the first source
+    # runs again, alone, through its 7 chunks, before the second's error
+    calls.clear()
+    with pytest.raises(NumericalError) as joint:
+        _srm_values([first, failing, later], spec, config)
+    assert str(joint.value) == str(own.value)
+    assert calls == [first, failing] + [first] * 7
+
+
+def test_clip_epsilon_wider_than_a_grid_step_keeps_the_nodes_above_the_zero_weight_edge():
+    # epsilon 0.3 exceeds the step 0.25, and 1 - epsilon = 0.7 lies above
+    # es(0.5)'s zero-weight edge, so the pass weighs its one chunk: the ends
+    # give 0 + 2; node 1, clipped to 0.3, and its mirror, clipped to 0.7,
+    # give 0 + 2 at coefficient 4; the middle node 0.5 gives 2 at coefficient 2
+    spec = WeightSpec.es(0.5)
+    config = QuadratureConfig(n_points=5, endpoint_policy="clip_epsilon", epsilon=0.3)
+    assert srm_replication(constant(1.0), spec, config).value == (2.0 + 4.0 * 2.0 + 2.0 * 2.0) * 0.25 / 3.0
+    source = normal(0.3, 1.2)
+    ends = tuple(weight(spec, p) * quantile(source, p) for p in (0.3, 0.7))
+    ref = replication_every_node(lambda p, p_mirror: quantile_pair(source, p, p_mirror),
+                                 lambda p: weight(spec, p), 5, "clip_epsilon", 0.3, ends, _BLOCK)
+    assert srm_replication(source, spec, config).value.hex() == ref.hex()
+
+
 def test_replication_evaluates_the_quantiles_of_weighted_chunks_only(monkeypatch):
     nodes, weighed = [], []
     inverse_normal_cdf, unchecked_weight = distributions.inverse_normal_cdf, quadrature._weight
@@ -763,6 +806,14 @@ def test_closed_form_refuses_a_tolerance_below_its_rounding_bound():
     assert err.best_estimate == certified.value
     assert 0.0 < err.error_bound < math.inf
     assert err.error_bound == certified.estimated_error
+
+
+@pytest.mark.parametrize("source", [constant(0.0), load_empirical([0.0, 0.0])], ids=["constant", "two-samples"])
+@pytest.mark.parametrize("rel_tol", [math.inf, 1e-9])
+def test_closed_form_certifies_a_zero_source_at_any_tolerance(source, rel_tol):
+    # the bound is 0, and rel_tol times a largest |x_k| of 0 is nan at rel_tol = inf
+    result = srm_converged(source, WeightSpec.es(0.95), rel_tol=rel_tol)
+    assert (result.value, result.estimated_error) == (0.0, 0.0)
 
 
 def test_closed_form_rounding_bound_stays_finite_on_the_widest_samples():
