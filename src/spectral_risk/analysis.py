@@ -83,7 +83,7 @@ def sweep_srm(family: str, param_grid, source: QuantileSource,
     key = _PARAMETER.get(family)
     if key is None:
         raise ValueError(f"cannot sweep family {family!r}")
-    params = [float(_real("param_grid value", x)) for x in param_grid]
+    params = [_real("param_grid value", x) for x in param_grid]
     if not params:
         raise ValueError("param_grid must not be empty")
     if any(not b > a for a, b in zip(params, params[1:])):
@@ -177,7 +177,7 @@ def var_subadditivity_counterexample(alpha: float = 0.95, loss: float = 10.0,
     k = int(round(tail_prob * n))
     if k == 0 or k == n:
         raise ValueError("tail_prob too extreme for the sample resolution")
-    marginal = np.concatenate([np.zeros(n - k), np.full(k, float(loss))])
+    marginal = np.concatenate([np.zeros(n - k), np.full(k, loss)])
     joint = np.add.outer(marginal, marginal).ravel()
     var_a = var(load_empirical(marginal), alpha)
     var_b = var_a
@@ -185,7 +185,7 @@ def var_subadditivity_counterexample(alpha: float = 0.95, loss: float = 10.0,
     gap = var_sum - var_a - var_b
     return {
         "alpha": alpha,
-        "loss": float(loss),
+        "loss": loss,
         "tail_prob": k / n,
         "var_a": var_a,
         "var_b": var_b,

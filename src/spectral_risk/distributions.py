@@ -288,8 +288,8 @@ class QuantileSource:
         if self.kind not in _KINDS:
             raise ValueError(f"unknown source kind {self.kind!r}")
         if self.kind == "normal":
-            object.__setattr__(self, "mean", float(_real("mean", self.mean)))
-            object.__setattr__(self, "sd", float(_real("sd", self.sd)))
+            object.__setattr__(self, "mean", _real("mean", self.mean))
+            object.__setattr__(self, "sd", _real("sd", self.sd))
             if not (math.isfinite(self.mean) and math.isfinite(self.sd)):
                 raise ValueError("normal mean and sd must be finite")
             if not self.sd > 0.0:
@@ -321,13 +321,14 @@ def normal(mean: float, sd: float) -> QuantileSource:
 
 
 def constant(value: float) -> QuantileSource:
-    return QuantileSource(kind="empirical", samples=np.array([float(_real("value", value))]))
+    return QuantileSource(kind="empirical", samples=np.array([_real("value", value)]))
 
 
 def uniform(lo: float, hi: float) -> QuantileSource:
-    if not _real("lo", lo) < _real("hi", hi):
+    lo, hi = _real("lo", lo), _real("hi", hi)
+    if not lo < hi:
         raise ValueError("uniform support needs lo < hi")
-    return QuantileSource(kind="empirical", samples=np.array([float(lo), float(hi)]))
+    return QuantileSource(kind="empirical", samples=np.array([lo, hi]))
 
 
 def load_empirical(records) -> QuantileSource:
@@ -338,7 +339,15 @@ def load_empirical(records) -> QuantileSource:
     """
     if not isinstance(records, (np.ndarray, list, tuple)):
         records = list(records)  # a one-shot iterable, such as a generator
-    arr = np.asarray(records, dtype=float)
+    try:
+        arr = np.asarray(records, dtype=float)
+    except OverflowError:  # a number beyond the largest double, such as 10**400
+        for row, record in enumerate(records, start=1):
+            try:
+                np.asarray(record, dtype=float)
+            except OverflowError:
+                raise DataError(f"loss beyond the range of a double at row {row}") from None
+        raise
     if arr.ndim != 1:
         raise DataError("expected a flat sequence of losses")
     if arr.size == 0:

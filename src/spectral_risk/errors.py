@@ -3,8 +3,6 @@ caller's scalar arguments and raise them."""
 
 import numbers
 
-import numpy as np
-
 __all__ = ["DataError", "SingularityError", "NumericalError", "ConvergenceError"]
 
 
@@ -45,16 +43,15 @@ def _integer(name: str, x) -> int:
     return int(x)
 
 
-def _real(name: str, x):
-    """x as a Python number, for a real number but a bool whose float does
-    not overflow; else a ValueError names name, and x unless it overflows."""
+def _real(name: str, x) -> float:
+    """float(x), for a real number but a bool whose float does not
+    overflow; else a ValueError names name, and x unless it overflows."""
     if isinstance(x, bool) or not isinstance(x, numbers.Real):
         raise ValueError(f"{name} must be a real number, not {x!r}")
     try:
-        float(x)
+        return float(x)
     except OverflowError:  # an int or a Fraction beyond the largest double
         raise ValueError(f"{name} must be a real number within the range of a double") from None
-    return x.item() if isinstance(x, np.generic) else x
 
 
 def _seed(seed) -> int:

@@ -76,7 +76,10 @@ def lpm(sample, target: float, order: float) -> float:
     order 0 counts the fraction of strict shortfalls (0 ** 0 counts as 0),
     order 1 is the mean shortfall, order 2 its second moment, and so on.
     """
-    arr = np.asarray(sample, dtype=float)
+    try:
+        arr = np.asarray(sample, dtype=float)
+    except OverflowError:  # a number beyond the largest double, such as 10**400
+        raise ValueError("sample values must lie within the range of a double") from None
     if arr.ndim != 1:
         raise ValueError("sample must be a flat sequence of losses")
     if arr.size == 0:

@@ -44,7 +44,7 @@ from .distributions import (
     _upper_quantile,
     quantile,
 )
-from .errors import ConvergenceError, NumericalError, _instance, _integer, _is_integer, _real, _seed
+from .errors import ConvergenceError, NumericalError, _instance, _integer, _real, _seed
 from .risk_aversion import WeightSpec, _log_tail_probability, _mass_integral, _weight, _zero_below
 
 __all__ = [
@@ -74,7 +74,7 @@ _LOG_T_FLOOR = math.log(2.0**-53)  # Monte Carlo's floor on log t, whose bias be
 
 
 def _rel_tol(rel_tol):
-    """rel_tol as a Python number, for a positive real number."""
+    """rel_tol as a float, for a positive real number."""
     rel_tol = _real("rel_tol", rel_tol)
     if not rel_tol > 0.0:
         raise ValueError("rel_tol must be positive")
@@ -172,9 +172,11 @@ def srm_replication(
     place, so that an error names the node evaluated.  Zero-weight stop:
     the pass stops at the first chunk whose largest mirror, clipped to the
     last end, lies below _zero_below(spec), where the weight is zero on and
-    after it, and adds the +0.0 they sum to.  Failures: the pass raises at
-    the first integrand value that is not finite, naming its node, and
-    raises NumericalError as well when finite values sum past a double.
+    after it, and adds the +0.0 they sum to.  Failures: a grid whose first
+    chunk would stop there weighs no interior node, and raises
+    NumericalError before any source is evaluated; the pass raises at the
+    first integrand value that is not finite, naming its node, and raises
+    NumericalError as well when finite values sum past a double.
     This is the one-source case of _replication, which evaluates several
     sources in one pass.
     """
@@ -211,6 +213,13 @@ def _replication(sources, spec: WeightSpec, config: QuadratureConfig) -> list[fl
     clip = config.endpoint_policy == "clip_epsilon"
     eps = config.epsilon
     ends = (eps, 1.0 - eps) if clip else (0.0, 1.0)
+    h = 1.0 / (n - 1)
+    top = min((n - 2) * h, ends[1])  # the largest interior node the pass weighs
+    if top < zero_below:
+        raise NumericalError(
+            f"the {n:,}-node grid weighs no interior node: its largest, p = {top!r}, lies "
+            f"below {zero_below!r}, below which the weight is zero; try the converged scheme"
+        )
     with np.errstate(divide="ignore"):  # the power weight's 0 ** (c - 1) at p = 1
         end_weights = [float(_weight(spec, np.array(p))) for p in ends]
 
@@ -228,7 +237,6 @@ def _replication(sources, spec: WeightSpec, config: QuadratureConfig) -> list[fl
             if not math.isfinite(y):
                 fail(k, p)
         totals.append(ys[0] + ys[1])
-    h = 1.0 / (n - 1)
     mid = (n - 1) // 2
     for start in range(1, mid + 1, _BLOCK):
         if min((n - 1 - start) * h, ends[1]) < zero_below:
@@ -295,31 +303,30 @@ _TS_NODES, _TS_WEIGHTS, _TS_ENDS = _tanh_sinh_table()
 
 def _tanh_sinh(y, rel_tol: float, loc=0.0, scale=1.0) -> tuple[float, float, int]:
     """Integrate over (0, 1) by the tanh-sinh rule (Takahasi & Mori 1974),
-    given y, the integrand's values at the first nodes of _TS_NODES.
+    given y, the integrand's values at the nodes of _TS_NODES.
 
     The node x = 1 / (1 + exp(-pi sinh s)), of weight dx/ds, crowds the
     nodes double exponentially toward both ends, which absorbs integrable
     endpoint singularities of logarithmic type.  Level 0 steps s by 1 over
     [-_TS_SPAN, _TS_SPAN], and each later level halves the step in s and
-    adds the nodes midway between the earlier ones.  The rule sums the
-    whole levels that y covers and stops once two successive levels differ
-    by at most rel_tol times the integral of |y|.  It returns, and a
+    adds the nodes midway between the earlier ones.  The rule sums level
+    after level and stops once two successive levels differ by at most
+    rel_tol times the integral of |y|.  It returns, and a
     ConvergenceError carries, loc + scale times the integral and scale
     times that difference plus the rounding of the shift; the return also
     counts the nodes of the levels summed.  A value that is not finite
-    raises NumericalError naming its node once the rule reaches its level.
+    raises NumericalError naming its node before any level is summed.
     Nodes that round to 1 are dropped: for an integrand in weight-mass
     space they hold less than 2**-53 of the mass, which the rounding floor
     of the difference covers.
     """
     finite = np.isfinite(y)
-    first_bad = y.size if finite.all() else int(np.argmin(finite))
+    if not finite.all():
+        raise _not_finite(_TS_NODES[np.argmin(finite)])
     h = 1.0
     value = abs_value = 0.0
     start = 0
-    for level, end in enumerate(end for end in _TS_ENDS if end <= y.size):
-        if end > first_bad:
-            raise _not_finite(_TS_NODES[first_bad])
+    for level, end in enumerate(_TS_ENDS):
         w = _TS_WEIGHTS[start:end]
         prev = value
         value = 0.5 * value + h * float(w @ y[start:end])
@@ -439,9 +446,9 @@ def srm_monte_carlo(
     value or the stderr would not be finite.
     """
     _instance("spec", spec, WeightSpec)
-    if not _is_integer(n_draws) or n_draws < 2:
+    n_draws, seed = _integer("n_draws", n_draws), _seed(seed)
+    if n_draws < 2:
         raise ValueError(f"n_draws must be an integer of at least 2, not {n_draws!r}")
-    n_draws, seed = int(n_draws), _seed(seed)
     loc, scale, knots = _standard_form(source)
     loss = (_upper_quantile if knots is None
             else lambda log_t: quantile(source, -np.expm1(log_t)))

@@ -65,7 +65,7 @@ class WeightSpec:
             if name == want:
                 if val is None:
                     raise ValueError(f"{self.family} family needs parameter {name}")
-                object.__setattr__(self, name, _real(f"{self.family} parameter {name}", val))
+                object.__setattr__(self, name, _real(name, val))
             elif val is not None:
                 raise ValueError(f"{self.family} family does not take parameter {name}")
         if self.family == "exponential" and not 0.0 < self.a < math.inf:
@@ -96,15 +96,15 @@ class WeightSpec:
             if not _real("gamma", gamma) > 0.0:
                 raise ValueError("gamma must be positive")
             a = 1.0 / gamma
-        return cls(family="exponential", a=float(_real("a", a)))
+        return cls(family="exponential", a=a)
 
     @classmethod
     def power(cls, c: float) -> "WeightSpec":
-        return cls(family="power", c=float(_real("c", c)))
+        return cls(family="power", c=c)
 
     @classmethod
     def es(cls, alpha: float) -> "WeightSpec":
-        return cls(family="es", alpha=float(_real("alpha", alpha)))
+        return cls(family="es", alpha=alpha)
 
     @classmethod
     def flat(cls) -> "WeightSpec":

@@ -3,6 +3,7 @@
 import functools
 import json
 import math
+import re
 import shlex
 import warnings
 from pathlib import Path
@@ -348,6 +349,25 @@ def test_a_product_that_overflows_names_its_node_without_a_warning(tmp_path, cap
         code, out, err = run(argv, capsys)
     assert (code, out) == (3, "")
     assert err == f"error: integrand not finite at node x = {node}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    "compute --measure srm --family exponential --a 1e300 --n 1001",
+    "compute --measure srm --family es --alpha 0.999999999999",
+    "compute --measure srm --family es --alpha 0.95 --n 5",
+    "subadd --family es --alpha 0.999999999999 --trials 3",
+], ids=["exponential-1e300", "es-1e-12", "es-0.95-n5", "subadd-es-1e-12"])
+def test_a_grid_that_weighs_no_interior_node_exits_3_without_a_warning(argv, capsys):
+    # every interior node lies below where the weight turns zero, so the
+    # grid would print 0.000000, and the stress would sum its p = 1 ends
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(shlex.split(argv), capsys)
+    assert (code, out) == (3, "")
+    assert re.fullmatch(r"error: the [\d,]+-node grid weighs no interior node: its largest, "
+                        r"p = \S+, lies below \S+, below which the weight is zero; "
+                        r"try the converged scheme\n", err), err
+    assert "Warning" not in err
 
 
 def test_sweep_writes_the_grid_csv(tmp_path, capsys):

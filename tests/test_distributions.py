@@ -358,6 +358,14 @@ def test_load_empirical_rejects_empty_and_non_finite():
         load_empirical([1.7e308, 0.0, -1.7e308])
 
 
+def test_load_empirical_names_the_row_of_a_loss_beyond_a_double():
+    # numpy's float conversion raises OverflowError for an int past 2**1024
+    with pytest.raises(DataError, match="^loss beyond the range of a double at row 1$"):
+        load_empirical([10**400, 1.0])
+    with pytest.raises(DataError, match="^loss beyond the range of a double at row 3$"):
+        load_empirical(x for x in (1.0, 2, -10**400))
+
+
 @pytest.mark.parametrize("kind_src", [
     standard_normal(), normal(0.0, 1.0), constant(1.0),
     uniform(0.0, 1.0), load_empirical([1.0, 2.0]),

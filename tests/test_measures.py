@@ -1,6 +1,7 @@
 """Risk measure front ends: var, es, srm wrappers, lower partial moments."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -165,6 +166,18 @@ def test_lpm_input_validation():
         lpm([[1.0, 2.0], [3.0, 4.0]], 2.0, 1)
     with pytest.raises(ValueError, match="sample must be a flat sequence of losses"):
         lpm(1.0, 2.0, 1)
+
+
+def test_lpm_refuses_a_sample_beyond_a_double_by_name():
+    # numpy's float conversion raises OverflowError for an int past 2**1024
+    with pytest.raises(ValueError, match="^sample values must lie within the range of a double$"):
+        lpm([10**400], 0.0, 1)
+
+
+def test_lpm_reads_a_fraction_target_and_order_as_their_floats():
+    # a Fraction used to reach numpy, which raised a TypeError
+    assert lpm([1.0, 2.0], Fraction(3, 2), 1) == lpm([1.0, 2.0], 1.5, 1) == 0.25
+    assert lpm([1.0, 2.0], 2.0, Fraction(1, 2)) == lpm([1.0, 2.0], 2.0, 0.5)
 
 
 @given(st.lists(st.floats(-100.0, 100.0), min_size=1, max_size=30),

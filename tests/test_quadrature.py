@@ -11,6 +11,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from normal_references import MEASURES
 from reference import (
     monte_carlo_one_array,
     replication_every_node,
@@ -22,6 +23,7 @@ from spectral_risk import (
     NumericalError,
     QuadratureConfig,
     WeightSpec,
+    check_admissibility,
     constant,
     convergence_study,
     load_empirical,
@@ -31,6 +33,8 @@ from spectral_risk import (
     srm_monte_carlo,
     srm_replication,
     standard_normal,
+    subadditivity_check,
+    sweep_srm,
     uniform,
     weight,
     weight_mass,
@@ -147,10 +151,10 @@ def test_tolerances_must_be_real_numbers_other_than_bool(make):
         make()
 
 
-def test_tolerances_given_as_numpy_scalars_are_held_as_python_numbers():
+def test_tolerances_given_as_numpy_scalars_are_held_as_floats():
     config = QuadratureConfig(epsilon=np.float32(0.125), rel_tol=np.int64(1))
     assert (type(config.epsilon), config.epsilon) == (float, 0.125)
-    assert (type(config.rel_tol), config.rel_tol) == (int, 1)
+    assert (type(config.rel_tol), config.rel_tol) == (float, 1.0)
 
 
 def test_replication_recovers_a_constant_loss_with_a_steep_weight():
@@ -239,6 +243,22 @@ def _grid_reference(source, spec, n, policy, eps=1e-9):
     return simpson_grid(y, 1.0 / (n - 1))
 
 
+def weighs_no_interior_node(spec, config):
+    """True where the weight is zero at the grid's largest interior node,
+    clipped to the last end, and so at every interior node."""
+    n = config.n_points
+    end = 1.0 - config.epsilon if config.endpoint_policy == "clip_epsilon" else 1.0
+    return weight(spec, min((n - 2) * (1.0 / (n - 1)), end)) == 0.0
+
+
+def assert_no_interior_node_is_weighed(source, spec, config):
+    with pytest.raises(NumericalError, match=(
+        f"^the {config.n_points:,}-node grid weighs no interior node: its largest, p = .*; "
+        "try the converged scheme$"
+    )):
+        srm_replication(source, spec, config)
+
+
 # grid sizes whose folded lower half, nodes 1 to (n - 1) / 2, ends one node
 # before, on, and one node after the end of the first chunk
 _CHUNK_EDGE_SIZES = (2 * _BLOCK - 1, 2 * _BLOCK + 1, 2 * _BLOCK + 3)
@@ -257,6 +277,9 @@ _CHUNK_EDGE_SIZES = (2 * _BLOCK - 1, 2 * _BLOCK + 1, 2 * _BLOCK + 3)
 def test_replication_matches_the_whole_grid_simpson_reference(source, spec, policy):
     for n in (3, 5, 7, *_CHUNK_EDGE_SIZES):
         config = QuadratureConfig(n_points=n, endpoint_policy=policy)
+        if weighs_no_interior_node(spec, config):  # es(0.9) at n = 3, 5 and 7
+            assert_no_interior_node_is_weighed(source, spec, config)
+            continue
         got = srm_replication(source, spec, config).value
         ref = _grid_reference(source, spec, n, policy)
         assert abs(got - ref) <= max(1e-12 * abs(ref), 1e-15), n
@@ -272,7 +295,7 @@ def quantile_pair(source, p, p_mirror):
 @pytest.mark.parametrize("policy,eps", [
     ("zero_endpoints", QuadratureConfig.epsilon),
     ("clip_epsilon", QuadratureConfig.epsilon),
-    # mirrors clipped to 0.9: es(0.95) weighs every node at zero, in chunks not cut
+    # mirrors clipped to 0.9: es(0.95) weighs every node at zero, which raises
     ("clip_epsilon", 0.1),
 ], ids=["zero_endpoints", "clip_epsilon", "clip_epsilon-0.1"])
 @pytest.mark.parametrize("source", [
@@ -286,16 +309,17 @@ def test_replication_matches_the_every_node_reference_bitwise(source, policy, ep
     # the chunks from the first whose mirrors all lie below the p where the
     # weight turns zero (es's alpha, the exponential's 1 - 746 / a) are not
     # built, and the pass still gives the bits of the loop that evaluates
-    # every node
+    # every node; a grid whose first chunk would be cut weighs no interior
+    # node, and raises
     specs = [
         WeightSpec.exponential(a=5.0), WeightSpec.power(0.5), WeightSpec.flat(),
         # no chunk is cut at 0.3 and 0.5, every chunk after the first is cut
-        # at 0.95 for n > 2 _BLOCK, and every chunk is cut at 1 - 1e-13
+        # at 0.95 for n > 2 _BLOCK, and every grid raises at 1 - 1e-13
         WeightSpec.es(0.3), WeightSpec.es(0.5), WeightSpec.es(0.95), WeightSpec.es(1 - 1e-13),
         # at n = 100,001 the third chunk's mirrors run from 0.836 down to 0.754
         WeightSpec.es(0.8),
-        # zero below 0.9254 and 0.999254: at n = 3 the one chunk is cut, and at
-        # n = 100,001 every chunk after the first
+        # zero below 0.9254 and 0.999254: n = 3 raises, and at n = 100,001
+        # every chunk after the first is cut
         WeightSpec.exponential(a=1e4), WeightSpec.exponential(a=1e6),
     ]
     for spec in specs:
@@ -305,6 +329,9 @@ def test_replication_matches_the_every_node_reference_bitwise(source, policy, ep
             ends = zero_endpoints(source, spec)
         for n in (3, 2 * _BLOCK - 1, 2 * _BLOCK + 1, 100_001):
             config = QuadratureConfig(n_points=n, endpoint_policy=policy, epsilon=eps)
+            if weighs_no_interior_node(spec, config):
+                assert_no_interior_node_is_weighed(source, spec, config)
+                continue
             got = srm_replication(source, spec, config).value
             ref = replication_every_node(
                 lambda p, p_mirror: quantile_pair(source, p, p_mirror),
@@ -455,10 +482,13 @@ def test_replication_evaluates_the_quantiles_of_weighted_chunks_only(monkeypatch
     assert evaluated(WeightSpec.exponential(a=1e4)) == (2 * _BLOCK, ends + [_BLOCK] * 4)
     # clip_epsilon evaluates its two endpoints as scalars, and clips every
     # mirror to at most 1 - epsilon: at epsilon = 1e-9 the same chunks carry
-    # weight, and at 0.1 none does, as 0.9 lies below 0.9254
+    # weight, and at 0.1 none does, as 0.9 lies below 0.9254, so the pass
+    # raises before it weighs or evaluates anything
     clip = {"endpoint_policy": "clip_epsilon"}
     assert evaluated(WeightSpec.exponential(a=1e4), **clip, epsilon=1e-9) == (2 + 2 * _BLOCK, ends + [_BLOCK] * 4)
-    assert evaluated(WeightSpec.exponential(a=1e4), **clip, epsilon=0.1) == (2, ends)
+    with pytest.raises(NumericalError, match="weighs no interior node"):
+        evaluated(WeightSpec.exponential(a=1e4), **clip, epsilon=0.1)
+    assert (sum(nodes), weighed) == (0, [])
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="minor fault counts are read from Linux getrusage")
@@ -733,18 +763,21 @@ def test_converged_error_estimate_is_measured_not_the_target():
 
 
 def test_exhausted_refinement_budget_reports_its_best_estimate():
-    # the values at the nodes of levels 0 .. 2 alone: the rule runs out of
-    # levels before it meets rel_tol
+    # a rel_tol below the rounding floor of a level difference, 8 ulps of
+    # the integral of |y|: the rule runs out of levels before it meets it
     spec = WeightSpec.exponential(a=5.0)
-    y = _upper_quantile(_log_tail_probability(spec, _TS_NODES[:_TS_ENDS[2]]))
-    with pytest.raises(ConvergenceError, match="did not converge after 2 levels") as exc_info:
-        _tanh_sinh(y, 1e-9)
+    y = _upper_quantile(_log_tail_probability(spec, _TS_NODES))
+    with pytest.raises(ConvergenceError, match="did not converge after 8 levels") as exc_info:
+        _tanh_sinh(y, 1e-16)
     err = exc_info.value
-    assert err.best_estimate == pytest.approx(NORMAL_EXPONENTIAL_REFS[5.0], abs=0.1)
+    # the whole table's bound, 2.3e-15, lies below the 5e-13 rounding of the
+    # 12-digit reference, so the 30-digit one measures the distance
+    ref = Fraction(MEASURES["exponential", 5.0])
+    assert err.best_estimate == pytest.approx(float(ref), abs=0.1)
     # the reported bound must be finite, positive, and honestly cover the
     # distance to the converged reference
     assert 0.0 < err.error_bound < math.inf
-    assert abs(err.best_estimate - NORMAL_EXPONENTIAL_REFS[5.0]) <= err.error_bound
+    assert abs(Fraction(err.best_estimate) - ref) <= err.error_bound
     assert isinstance(err, NumericalError)
 
 
@@ -1134,3 +1167,44 @@ def test_convergence_study_refuses_a_size_that_is_not_an_integer(n):
     # int(n) would turn 5.5 into a 5-point row and read "7" as 7
     with pytest.raises(ValueError, match=re.escape(f"n_points must be an integer, not {n!r}") + "$"):
         convergence_study(standard_normal(), WeightSpec.flat(), [101, n])
+
+
+# Fraction parameters and their float twins: a Fraction used to reach numpy,
+# which raised inside a ufunc, and to_json, which raised a TypeError
+_FRACTION_TWINS = [
+    ({"family": "power", "c": Fraction(1, 2)}, WeightSpec.power(0.5)),
+    ({"family": "exponential", "a": Fraction(5)}, WeightSpec.exponential(a=5.0)),
+    ({"family": "es", "alpha": Fraction(19, 20)}, WeightSpec.es(0.95)),
+]
+
+
+def _outcomes(spec, epsilon, source, config_n=1001):
+    """What each engine gives for spec, as hex strings or reprs."""
+    configs = [QuadratureConfig(n_points=config_n),
+               QuadratureConfig(n_points=config_n, endpoint_policy="clip_epsilon", epsilon=epsilon)]
+    report = subadditivity_check(spec, sample_size=20, trials=2, seed=3,
+                                 config=QuadratureConfig(n_points=101))
+    return [
+        float(weight(spec, 0.97)).hex(), float(weight_mass(spec, 0.97)).hex(),
+        repr(check_admissibility(spec)),
+        *(srm_replication(source, spec, config).value.hex() for config in configs),
+        srm_converged(source, spec).value.hex(),
+        srm_monte_carlo(source, spec, n_draws=1000, seed=5).value.hex(),
+        repr(report),
+    ]
+
+
+@pytest.mark.parametrize("fields,twin", _FRACTION_TWINS, ids=["power", "exponential", "es"])
+def test_a_spec_of_fractions_gives_the_bits_of_its_float_twin(fields, twin):
+    spec = WeightSpec(**fields)
+    assert spec == twin and spec.to_json() == twin.to_json()
+    assert WeightSpec.from_json(spec.to_json()) == twin
+    for source in (normal(0.3, 1.2), load_empirical([0.5, -1.0, 2.0])):
+        assert _outcomes(spec, Fraction(1, 32), source) == _outcomes(twin, 0.03125, source)
+
+
+def test_a_sweep_over_fractions_gives_the_bits_of_its_float_twin():
+    config = QuadratureConfig(n_points=1001)
+    got = sweep_srm("power", [Fraction(1, 4), Fraction(1, 2)], normal(0.3, 1.2), config)
+    assert got == sweep_srm("power", [0.25, 0.5], normal(0.3, 1.2), config)
+    assert all(type(param) is float for param in got.params)

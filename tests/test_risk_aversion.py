@@ -280,14 +280,14 @@ def test_weight_spec_accepts_numpy_scalars():
     assert WeightSpec(family="es", alpha=np.float64(0.9)).alpha == 0.9
 
 
-@pytest.mark.parametrize("family,name,value,kind,text", [
-    ("power", "c", np.float32(0.5), float, '{"family": "power", "c": 0.5}'),
-    ("exponential", "a", np.int64(5), int, '{"family": "exponential", "a": 5}'),
+@pytest.mark.parametrize("family,name,value,text", [
+    ("power", "c", np.float32(0.5), '{"family": "power", "c": 0.5}'),
+    ("exponential", "a", np.int64(5), '{"family": "exponential", "a": 5.0}'),
 ], ids=["float32", "int64"])
-def test_weight_spec_with_numpy_scalar_parameters_serialises(family, name, value, kind, text):
-    # held as Python values, so the spec serialises and round-trips
+def test_weight_spec_with_numpy_scalar_parameters_serialises(family, name, value, text):
+    # held as floats, so the spec serialises and round-trips
     spec = WeightSpec(family=family, **{name: value})
-    assert type(getattr(spec, name)) is kind
+    assert type(getattr(spec, name)) is float
     assert spec.to_json() == text
     assert WeightSpec.from_json(text) == spec
 
@@ -357,10 +357,9 @@ def test_real_numbers_beyond_a_double_are_refused_by_name(call, name, big):
         call(big)
 
 
-def test_real_numbers_that_pass_keep_their_type():
-    for x in (10**300, -7, Fraction(1, 3), 2.5, math.inf):
-        assert type(_real("x", x)) is type(x) and _real("x", x) == x
-    assert type(_real("x", np.float32(0.5))) is float
+def test_real_numbers_that_pass_are_held_as_floats():
+    for x in (10**300, -7, Fraction(1, 3), 2.5, math.inf, np.float32(0.5), np.int64(5), np.longdouble(0.25)):
+        assert type(_real("x", x)) is float and _real("x", x) == float(x)
 
 
 @pytest.mark.parametrize("spec", ["flat", lambda p: 2.0 * p], ids=["str", "function"])
